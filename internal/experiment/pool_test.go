@@ -463,16 +463,11 @@ func TestPoolWorkersResolution(t *testing.T) {
 	}
 }
 
-// The parallel kernel is an execution strategy, not a different
-// simulation: KernelWorkers must not enter the content address, and a
-// cache filled by sequential runs must fully serve a parallel-kernel
-// study (and vice versa) with identical results.
+// StudyOptions.KernelWorkers is a deprecated shim: 0 and 1 both run
+// the sequential kernel, so a cache filled at one value fully serves
+// the other with identical results, and any other value is an error
+// that names the field instead of being silently ignored.
 func TestCacheHitsAcrossKernelWorkers(t *testing.T) {
-	seq, ok1 := cacheKey(tinySpec(), RunOptions{Seed: 3})
-	par, ok2 := cacheKey(tinySpec(), RunOptions{Seed: 3, KernelWorkers: 4})
-	if !ok1 || !ok2 || seq != par {
-		t.Fatalf("cache key depends on KernelWorkers:\n  seq %+v\n  par %+v", seq, par)
-	}
 	cache, err := runcache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -489,14 +484,25 @@ func TestCacheHitsAcrossKernelWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.KernelWorkers = 4
-	warm, err := RunStudy(spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	jobs := int64(opts.Reps * (1 + len(opts.Modes)))
-	if hits, misses := cache.Stats(); hits != jobs || misses != jobs {
-		t.Fatalf("stats = %d hits, %d misses; want %d sequential entries to all hit under the parallel kernel", hits, misses, jobs)
+	for _, tc := range []struct {
+		workers int
+		ok      bool
+	}{{1, true}, {0, true}, {2, false}, {-1, false}} {
+		opts.KernelWorkers = tc.workers
+		warm, err := RunStudy(spec, opts)
+		if !tc.ok {
+			if err == nil || !strings.Contains(err.Error(), "StudyOptions.KernelWorkers") {
+				t.Errorf("KernelWorkers %d: err = %v, want an error naming StudyOptions.KernelWorkers", tc.workers, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("KernelWorkers %d: %v", tc.workers, err)
+		}
+		assertStudiesEqual(t, cold, warm)
 	}
-	assertStudiesEqual(t, cold, warm)
+	if hits, misses := cache.Stats(); hits != 2*jobs || misses != jobs {
+		t.Fatalf("stats = %d hits, %d misses; want %d cold misses and every entry hit at KernelWorkers 1 and 0", hits, misses, jobs)
+	}
 }

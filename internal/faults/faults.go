@@ -269,10 +269,16 @@ func (p Plan) String() string {
 	return strings.Join(parts, ";")
 }
 
-// String renders one fault in the ParseSpec grammar.
+// String renders one fault in the ParseSpec grammar.  Fields the kind
+// does not use still render when set, so the string re-parses to an
+// identical Fault.
 func (f Fault) String() string {
 	kv := []string{}
-	add := func(k string, v float64) { kv = append(kv, fmt.Sprintf("%s=%g", k, v)) }
+	seen := make(map[string]bool)
+	add := func(k string, v float64) {
+		kv = append(kv, fmt.Sprintf("%s=%g", k, v))
+		seen[k] = true
+	}
 	switch f.Kind {
 	case OneOffDelay:
 		add("rank", float64(f.Rank))
@@ -307,6 +313,17 @@ func (f Fault) String() string {
 			add("dur", f.Duration)
 		}
 	}
+	for _, e := range []struct {
+		key string
+		v   float64
+	}{
+		{"rank", float64(f.Rank)}, {"node", float64(f.Node)}, {"domain", float64(f.Domain)},
+		{"at", f.At}, {"dur", f.Duration}, {"delay", f.Delay}, {"factor", f.Factor},
+	} {
+		if e.v != 0 && !seen[e.key] {
+			add(e.key, e.v)
+		}
+	}
 	return string(f.Kind) + ":" + strings.Join(kv, ",")
 }
 
@@ -315,7 +332,8 @@ func (f Fault) String() string {
 //
 //	oneoff:rank=3,at=0.002,delay=0.001;straggler:rank=0,factor=1.5
 //
-// Recognised keys are rank, node, domain, at, dur, delay and factor.
+// Recognised keys are rank, node, domain, at, dur, delay and factor;
+// values must be finite numbers.
 // The result is not validated against a job shape; call Plan.Validate
 // once ranks/nodes/domains are known.
 func ParseSpec(spec string) (Plan, error) {
@@ -346,7 +364,7 @@ func ParseSpec(spec string) (Plan, error) {
 				return Plan{}, fmt.Errorf("faults: %q: want key=value", kvs)
 			}
 			v, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-			if err != nil {
+			if err != nil || badNum(v) {
 				return Plan{}, fmt.Errorf("faults: %s: bad value %q", key, val)
 			}
 			switch strings.TrimSpace(key) {

@@ -60,6 +60,27 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
+// FuzzParseSpec fuzzes the -faults grammar, an input from outside the
+// program: ParseSpec must never panic, and every plan it accepts must
+// survive a String round trip unchanged.  The seed corpus in
+// testdata/fuzz/FuzzParseSpec holds the TestParseSpecRoundTrip and
+// TestParseSpecErrors inputs.
+func FuzzParseSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		q, err := ParseSpec(p.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) rejects its own rendering %q: %v", spec, p.String(), err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("round trip of %q changed the plan:\n  first  %+v\n  second %+v", spec, p, q)
+		}
+	})
+}
+
 func TestValidate(t *testing.T) {
 	ok := Plan{Faults: []Fault{
 		{Kind: OneOffDelay, Rank: 3, At: 0.1, Delay: 0.01},

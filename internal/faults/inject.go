@@ -3,7 +3,6 @@ package faults
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -12,11 +11,9 @@ import (
 
 // Injector is a Plan bound to one run.  It implements
 // machine.FaultInjector for the compute and counter faults and schedules
-// the bandwidth-collapse windows on the kernel.  The per-core fault state
-// needs no locking — a core's quanta execute from one actor at a time
-// even under the parallel kernel — but the applied log is shared across
-// cores, so appends take a mutex and Applied returns a totally-ordered
-// copy (append order is scheduling-dependent; the sorted view is not).
+// the bandwidth-collapse windows on the kernel.  Like the rest of the
+// simulation it is single-threaded: the vtime kernel runs one actor at a
+// time, so the mutable one-off state needs no locking.
 type Injector struct {
 	plan Plan
 
@@ -24,12 +21,11 @@ type Injector struct {
 	slowdown map[machine.CoreID][]window // straggler windows, factor > 1
 	glitch   map[machine.CoreID][]window // counter over-count windows
 
-	// applied is the log of fault events that actually took effect.  The
+	// applied is the deterministic log of fault events that actually took
+	// effect, in fire order.  The vtime kernel is single-threaded and the
 	// fire conditions depend only on the armed plan and virtual time, so
-	// two identical runs apply identical fault sets; only the append
-	// order varies with the scheduler.  Reading the log is observe-only:
-	// nothing in the injection path consults it.
-	mu      sync.Mutex
+	// two identical runs append identical logs.  Reading the log is
+	// observe-only: nothing in the injection path consults it.
 	applied []AppliedFault
 
 	// metrics and timeline are observe-only hooks (see SetMetrics and
@@ -71,9 +67,7 @@ func (in *Injector) Applied() []AppliedFault {
 	if in == nil {
 		return nil
 	}
-	in.mu.Lock()
 	out := append([]AppliedFault(nil), in.applied...)
-	in.mu.Unlock()
 	sort.Slice(out, func(a, b int) bool {
 		x, y := out[a], out[b]
 		if x.At != y.At {
@@ -96,14 +90,8 @@ func (in *Injector) Applied() []AppliedFault {
 	return out
 }
 
-// record appends one applied-fault event.  Concurrent-safe: compute
-// faults fire from actor turns, which the parallel kernel may run on
-// several worker goroutines at once.
-func (in *Injector) record(e AppliedFault) {
-	in.mu.Lock()
-	in.applied = append(in.applied, e)
-	in.mu.Unlock()
-}
+// record appends one applied-fault event.
+func (in *Injector) record(e AppliedFault) { in.applied = append(in.applied, e) }
 
 type oneoffState struct {
 	rank  int // world rank the delay lands on, for the timeline label

@@ -7,111 +7,33 @@ import (
 	"repro/internal/lint"
 )
 
-// StagedMut flags direct kernel mutations reachable from a parallel
-// turn body without the staging API or an Actor.Exclusive guard.
-// Kernel.Post inserts into the global queue, Cond.Signal/Broadcast
-// move waiters immediately — done mid-wave, any of them desynchronises
-// the parallel replay from the sequential kernel.
-var StagedMut = &lint.Analyzer{
-	Name: "stagedmut",
-	Doc:  "flags unstaged kernel mutation (Kernel.Post, Cond.Signal/Broadcast) reachable from a parallel turn body",
-	RunModule: func(pass *lint.ModulePass) error {
-		c := contextOf(pass.Graph)
-		for _, n := range reachedNodes(c.g, c.parReach) {
-			for _, cs := range n.Calls {
-				if c.guarded(n, cs.Site) {
-					continue
-				}
-				recv, name, ok := vtimeFunc(cs.Callee)
-				if !ok {
-					continue
-				}
-				var fix string
-				switch {
-				case recv == "Kernel" && name == "Post":
-					fix = "use Actor.Post, which stages the insertion until commit"
-				case recv == "Cond" && (name == "Signal" || name == "Broadcast"):
-					fix = "use Cond." + name + "From(actor), which stages the wake-up until commit"
-				default:
-					continue
-				}
-				pass.Report(cs.Site,
-					"(*vtime.%s).%s mutates kernel state directly from a parallel turn (via %s); %s, or call Actor.Exclusive first",
-					recv, name, chain(c.parReach, n), fix)
-			}
-		}
-		return nil
-	},
-}
-
-// ExclusiveBefore flags structural kernel mutations — Spawn,
-// SetCapacity, resource attach/detach — on parallel paths not
-// dominated by Actor.Exclusive.  Unlike staged mutations these have no
-// staging variant: they must run on the commit path or in sequential
-// context (a function never reached from a turn entry is proven
-// sequential-only by the call graph and not flagged).
-var ExclusiveBefore = &lint.Analyzer{
-	Name: "exclusive-before",
-	Doc:  "flags Spawn/SetCapacity/attach/detach on parallel paths not dominated by Actor.Exclusive",
-	RunModule: func(pass *lint.ModulePass) error {
-		c := contextOf(pass.Graph)
-		for _, n := range reachedNodes(c.g, c.parReach) {
-			for _, cs := range n.Calls {
-				if c.guarded(n, cs.Site) {
-					continue
-				}
-				recv, name, ok := vtimeFunc(cs.Callee)
-				if !ok {
-					continue
-				}
-				structural := (recv == "Kernel" && name == "Spawn") ||
-					(recv == "Resource" && (name == "SetCapacity" || name == "attach" || name == "detach"))
-				if !structural {
-					continue
-				}
-				pass.Report(cs.Site,
-					"(*vtime.%s).%s restructures the kernel from a parallel turn (via %s) without a dominating Actor.Exclusive",
-					recv, name, chain(c.parReach, n))
-			}
-		}
-		return nil
-	},
-}
-
-// GlobalMut flags writes to package-level variables reachable from a
-// parallel turn body: turn bodies of different domains run
-// concurrently, so such a write is a data race the moment two domains
-// share the variable — a static pre-screen for what -race can only
-// catch when the schedule happens to collide.
+// GlobalMut flags writes to package-level variables reachable from
+// simulation code.  The study pool runs many kernels at once, so such a
+// write is a data race the moment two jobs reach it — and a leak of
+// one job's state into another's results — a static pre-screen for
+// what -race can only catch when the schedule happens to collide.
 var GlobalMut = &lint.Analyzer{
 	Name: "globalmut",
-	Doc:  "flags writes to package-level state reachable from parallel turn bodies",
+	Doc:  "flags writes to package-level state reachable from simulation code",
 	RunModule: func(pass *lint.ModulePass) error {
 		c := contextOf(pass.Graph)
-		for _, n := range reachedNodes(c.g, c.parReach) {
+		report := func(n *lint.FuncNode, target ast.Expr) {
+			if v := packageLevelTarget(n.Pkg, target); v != nil {
+				pass.Report(target.Pos(),
+					"write to package-level %s.%s from simulation code (via %s); concurrent jobs share it — move the state into the run",
+					v.Pkg().Name(), v.Name(), chain(c.simReach, n))
+			}
+		}
+		for _, n := range reachedNodes(c.g, c.simReach) {
 			n := n
 			inspectOwn(n, func(nd ast.Node) bool {
 				switch nd := nd.(type) {
 				case *ast.AssignStmt:
 					for _, lhs := range nd.Lhs {
-						if c.guarded(n, lhs.Pos()) {
-							continue
-						}
-						if v := packageLevelTarget(n.Pkg, lhs); v != nil {
-							pass.Report(lhs.Pos(),
-								"write to package-level %s.%s from a parallel turn (via %s); move the state into the actor or guard with Actor.Exclusive",
-								v.Pkg().Name(), v.Name(), chain(c.parReach, n))
-						}
+						report(n, lhs)
 					}
 				case *ast.IncDecStmt:
-					if c.guarded(n, nd.Pos()) {
-						return true
-					}
-					if v := packageLevelTarget(n.Pkg, nd.X); v != nil {
-						pass.Report(nd.Pos(),
-							"write to package-level %s.%s from a parallel turn (via %s); move the state into the actor or guard with Actor.Exclusive",
-							v.Pkg().Name(), v.Name(), chain(c.parReach, n))
-					}
+					report(n, nd.X)
 				}
 				return true
 			})

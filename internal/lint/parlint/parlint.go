@@ -1,41 +1,29 @@
-// Package parlint statically enforces the parallel-kernel staging
-// contract of internal/vtime (PR 7).  The conservative wave scheduler
-// is byte-identical to the sequential kernel only while every turn
-// body obeys rules that otherwise live in comments and runtime panics:
+// Package parlint holds the interprocedural checks that guard running
+// many simulation kernels in one process (the study pool's -j):
 //
-//   - kernel mutations from a parallel turn must go through the
-//     staging API (Actor.Post, Cond.SignalFrom/BroadcastFrom, staged
-//     Execute/Wait) or run under Actor.Exclusive (stagedmut);
-//   - structural mutations (Kernel.Spawn, Resource.SetCapacity,
-//     attach/detach) must be dominated by Actor.Exclusive or be
-//     sequential-only (exclusive-before);
-//   - Kernel.PinDomain must pair with UnpinDomain on every path,
-//     including early returns and panics (pinpair);
-//   - package-level mutable state must not be written from parallel
-//     turn bodies (globalmut) — a static race pre-screen that
-//     complements -race;
+//   - package-level mutable state must not be written from simulation
+//     code (globalmut): kernels of concurrent jobs would share the
+//     variable, a data race and a determinism leak between jobs — a
+//     static pre-screen for what -race only catches when the schedule
+//     happens to collide;
 //
 // plus interprocedural upgrades of detlint's wallclock / globalrand /
 // maporder checks: a helper that wraps time.Now three calls deep is
 // reported at its simulation-context call site, which the syntactic
 // pass cannot see.
 //
-// The analyzers reason over the module-wide call graph (internal/lint):
-// turn entry points are the function values passed to Kernel.Spawn,
-// parallel reachability follows call edges while skipping everything
-// lexically after an Actor.Exclusive call in the same function (the
-// rest of such a turn runs on the sequential commit path), and
-// simulation reachability additionally includes every callback handed
-// to the vtime kernel (Post completions run in kernel context: staging
-// rules do not apply there, but determinism rules still do).  Both
-// traversals are deliberate over-approximations — interface dispatch
-// fans out to every implementing type, function values to everything
-// that flows there — so a clean run is a guarantee, and a false
-// positive is silenced with "//detlint:allow <name>: why".
+// The analyzers reason over the module-wide call graph (internal/lint).
+// Simulation code is everything reachable from the function values
+// handed to the vtime kernel: actor bodies passed to Kernel.Spawn and
+// completion callbacks passed to Kernel.Post.  The traversal is a
+// deliberate over-approximation — interface dispatch fans out to every
+// implementing type, function values to everything that flows there —
+// so a clean run is a guarantee, and a false positive is silenced with
+// "//detlint:allow <name>: why".
 //
-// The vtime package itself is exempt: its internals hold the kernel
-// lock by construction and are proven equivalent by the pardiff
-// differential battery, not by this lint.
+// The vtime package itself is exempt: its one sanctioned wall-clock
+// read (the watchdog budget) is allowed explicitly, and its state is
+// per kernel.
 package parlint
 
 import (
@@ -48,12 +36,9 @@ import (
 	"repro/internal/lint"
 )
 
-// Analyzers is the parallel-contract suite in reporting order.
+// Analyzers is the suite in reporting order.
 func Analyzers() []*lint.Analyzer {
-	return []*lint.Analyzer{
-		StagedMut, ExclusiveBefore, PinPair, GlobalMut,
-		WallclockTaint, GlobalRandTaint, MapOrderTaint,
-	}
+	return []*lint.Analyzer{GlobalMut, WallclockTaint, GlobalRandTaint, MapOrderTaint}
 }
 
 // step is one predecessor edge of a reachability traversal.
@@ -66,25 +51,10 @@ type step struct {
 type ctx struct {
 	g *lint.CallGraph
 
-	// entries are the turn bodies: function values passed to
-	// (*vtime.Kernel).Spawn anywhere in the module.
-	entries []*lint.FuncNode
-
-	// guards maps each function to the position of its first
-	// Actor.Exclusive call (token.NoPos when it has none).  Everything
-	// lexically after that call runs on the sequential commit path.
-	guards map[*lint.FuncNode]token.Pos
-
-	// parReach maps functions reachable from a turn entry through
-	// unguarded call edges to their predecessor edge (entries map to a
-	// zero step).  These run inside parallel waves.
-	parReach map[*lint.FuncNode]step
-
-	// simReach additionally starts from every callback handed to vtime
-	// (Post completions, Spawn bodies) and ignores Exclusive guards:
-	// everything here executes under simulated time, so determinism
-	// taints (wallclock, globalrand, maporder) apply even where staging
-	// rules do not.
+	// simReach maps every function reachable from a callback handed to
+	// vtime (Spawn bodies, Post completions) to its predecessor edge
+	// (roots map to a zero step).  Everything here executes under
+	// simulated time.
 	simReach map[*lint.FuncNode]step
 }
 
@@ -96,14 +66,7 @@ func contextOf(g *lint.CallGraph) *ctx {
 	if c, ok := ctxCache[g]; ok {
 		return c
 	}
-	c := &ctx{
-		g:        g,
-		guards:   make(map[*lint.FuncNode]token.Pos),
-		parReach: make(map[*lint.FuncNode]step),
-		simReach: make(map[*lint.FuncNode]step),
-	}
-	c.computeGuards()
-	c.computeEntries()
+	c := &ctx{g: g, simReach: make(map[*lint.FuncNode]step)}
 	c.computeReach()
 	ctxCache[g] = c
 	return c
@@ -124,82 +87,15 @@ func isVtimeNode(n *lint.FuncNode) bool {
 	return n.Pkg.Types != nil && isVtimePkg(n.Pkg.Types)
 }
 
-// vtimeFunc matches a callee against the kernel API: it returns the
-// receiver type name ("Kernel", "Actor", "Cond", "Resource"; "" for
-// plain functions) and method name when fn belongs to a vtime package.
-func vtimeFunc(fn *types.Func) (recv, name string, ok bool) {
-	if fn == nil || !isVtimePkg(fn.Pkg()) {
-		return "", "", false
-	}
-	sig, sigOK := fn.Type().(*types.Signature)
-	if !sigOK {
-		return "", "", false
-	}
-	if r := sig.Recv(); r != nil {
-		t := r.Type()
-		if p, isPtr := t.(*types.Pointer); isPtr {
-			t = p.Elem()
-		}
-		named, isNamed := t.(*types.Named)
-		if !isNamed {
-			return "", "", false
-		}
-		return named.Obj().Name(), fn.Name(), true
-	}
-	return "", fn.Name(), true
+// isVtimeFunc reports whether a callee belongs to the kernel API.
+func isVtimeFunc(fn *types.Func) bool {
+	return fn != nil && isVtimePkg(fn.Pkg())
 }
 
-// computeGuards records each function's first Actor.Exclusive call.
-func (c *ctx) computeGuards() {
-	for _, n := range c.g.Nodes {
-		guard := token.NoPos
-		for _, cs := range n.Calls {
-			if recv, name, ok := vtimeFunc(cs.Callee); ok && recv == "Actor" && name == "Exclusive" {
-				guard = cs.Site
-				break
-			}
-		}
-		c.guards[n] = guard
-	}
-}
-
-// guarded reports whether a call site in n runs after the function's
-// Actor.Exclusive call — on the sequential commit path.
-func (c *ctx) guarded(n *lint.FuncNode, site token.Pos) bool {
-	g := c.guards[n]
-	return g != token.NoPos && site > g
-}
-
-// computeEntries collects turn bodies: resolved function values of the
-// second Spawn argument at every Spawn call site outside vtime.
-func (c *ctx) computeEntries() {
-	seen := make(map[*lint.FuncNode]bool)
-	for _, n := range c.g.Nodes {
-		if isVtimeNode(n) {
-			continue
-		}
-		for _, cs := range n.Calls {
-			recv, name, ok := vtimeFunc(cs.Callee)
-			if !ok || recv != "Kernel" || name != "Spawn" || len(cs.Expr.Args) < 2 {
-				continue
-			}
-			for _, t := range c.g.FuncValues(n.Pkg, cs.Expr.Args[1]) {
-				if !seen[t] && !isVtimeNode(t) {
-					seen[t] = true
-					c.entries = append(c.entries, t)
-				}
-			}
-		}
-	}
-	sort.Slice(c.entries, func(i, j int) bool { return c.entries[i].Index < c.entries[j].Index })
-}
-
-// computeReach runs both reachability traversals.
+// computeReach walks call edges from the simulation roots: every
+// function value passed to any vtime API call (Spawn bodies, Post
+// completion callbacks and friends).
 func (c *ctx) computeReach() {
-	c.bfs(c.entries, c.parReach, true)
-
-	// Simulation roots: turn entries plus every function value passed
-	// to any vtime API call (Post completion callbacks and friends).
 	var simRoots []*lint.FuncNode
 	seen := make(map[*lint.FuncNode]bool)
 	add := func(t *lint.FuncNode) {
@@ -208,15 +104,12 @@ func (c *ctx) computeReach() {
 			simRoots = append(simRoots, t)
 		}
 	}
-	for _, e := range c.entries {
-		add(e)
-	}
 	for _, n := range c.g.Nodes {
 		if isVtimeNode(n) {
 			continue
 		}
 		for _, cs := range n.Calls {
-			if _, _, ok := vtimeFunc(cs.Callee); !ok {
+			if !isVtimeFunc(cs.Callee) {
 				continue
 			}
 			for _, arg := range cs.Expr.Args {
@@ -227,13 +120,12 @@ func (c *ctx) computeReach() {
 		}
 	}
 	sort.Slice(simRoots, func(i, j int) bool { return simRoots[i].Index < simRoots[j].Index })
-	c.bfs(simRoots, c.simReach, false)
+	c.bfs(simRoots, c.simReach)
 }
 
 // bfs walks call edges from the roots.  Edges into vtime are never
-// followed (the kernel's internals are exempt); with useGuards, edges
-// lexically after the caller's Actor.Exclusive are skipped.
-func (c *ctx) bfs(roots []*lint.FuncNode, reach map[*lint.FuncNode]step, useGuards bool) {
+// followed: the kernel's internals are exempt.
+func (c *ctx) bfs(roots []*lint.FuncNode, reach map[*lint.FuncNode]step) {
 	queue := make([]*lint.FuncNode, 0, len(roots))
 	for _, r := range roots {
 		if _, ok := reach[r]; !ok {
@@ -245,11 +137,8 @@ func (c *ctx) bfs(roots []*lint.FuncNode, reach map[*lint.FuncNode]step, useGuar
 		n := queue[0]
 		queue = queue[1:]
 		for _, cs := range n.Calls {
-			if useGuards && c.guarded(n, cs.Site) {
-				continue
-			}
-			if _, _, isVtime := vtimeFunc(cs.Callee); isVtime {
-				continue // staging/commit boundary: not a synchronous descent
+			if isVtimeFunc(cs.Callee) {
+				continue // callbacks handed to vtime are roots, not descents
 			}
 			for _, t := range cs.Targets {
 				if isVtimeNode(t) {

@@ -65,14 +65,6 @@ type recorder struct {
 	// under the master's fork-time path the way Scalasca does.
 	names []string
 
-	// regions caches this location's view of the trace's global region
-	// intern table.  Under the parallel kernel the global table may only
-	// be touched from commit order (Actor.Exclusive), so enter consults
-	// the cache first and pays the exclusive turn only on first sight of
-	// a name — the interleaving of first-interns, and therefore every
-	// region id, stays the sequential one.
-	regions map[string]trace.RegionID
-
 	pendingInstr  float64
 	pendingBytes  float64
 	bufEvents     int     // events since last working-set update
@@ -140,17 +132,7 @@ func (r *recorder) enter(name string, role trace.Role) {
 		r.stack = append(r.stack, stackEntry{filtered: true})
 		return
 	}
-	id, ok := r.regions[name]
-	if !ok {
-		if r.loc.Actor != nil {
-			r.loc.Actor.Exclusive() // first sight: intern in the global table
-		}
-		id = r.m.Trace.Region(name, role)
-		if r.regions == nil {
-			r.regions = make(map[string]trace.RegionID)
-		}
-		r.regions[name] = id
-	}
+	id := r.m.Trace.Region(name, role)
 	r.stack = append(r.stack, stackEntry{region: id})
 	r.names = append(r.names, name)
 	r.event(trace.EvEnter, id, 0, 0, 0)

@@ -20,17 +20,13 @@ type Rank struct {
 	tw   *teamWrap
 
 	collSeq map[*simmpi.Comm]int32
-	commIDs map[*simmpi.Comm]int32 // rank-local cache of Measurement.commID
 }
 
 // NewRank wraps a rank for measurement.  m may be nil for an
 // uninstrumented run.  Call Begin/End (or let the experiment runner do
 // it) around the application body.
 func NewRank(m *Measurement, p *simmpi.Proc) *Rank {
-	r := &Rank{P: p, m: m,
-		collSeq: make(map[*simmpi.Comm]int32),
-		commIDs: make(map[*simmpi.Comm]int32),
-	}
+	r := &Rank{P: p, m: m, collSeq: make(map[*simmpi.Comm]int32)}
 	if m == nil {
 		return r
 	}
@@ -64,18 +60,7 @@ func (r *Rank) Now() float64 { return r.P.Loc.Now() }
 // evenly over the NUMA domains the rank's threads are pinned to — the
 // effect of first-touch allocation in a parallel initialisation.  It
 // returns a release function that unregisters the same amount.
-//
-// Under the parallel kernel, call it before the rank's first blocking
-// operation (apps allocate before they communicate, so this is the
-// natural shape): the first registration on a NUMA domain shared with
-// other lookahead domains permanently pins the sharers onto the commit
-// path, and a first-turn call guarantees no concurrently scheduled turn
-// has read the miss ratio the registration is about to change.
 func (r *Rank) SpreadWorkingSet(totalBytes float64) (release func()) {
-	if r.P.W.MemoryShared(r.P.Rank) {
-		r.P.Loc.Actor.Exclusive()
-		r.P.W.PinRankMemory(r.P.Rank)
-	}
 	locs := r.P.Team.Locations()
 	per := totalBytes / float64(len(locs))
 	for _, l := range locs {
@@ -305,15 +290,7 @@ func (r *Rank) collective(comm *simmpi.Comm, name string, bytes int64, call func
 	rec.clock.RecvPB(maxPB)
 	seq := r.collSeq[comm]
 	r.collSeq[comm] = seq + 1
-	id, ok := r.commIDs[comm]
-	if !ok {
-		// First collective on this communicator from this rank: the global
-		// id table may only be touched from commit order.
-		r.P.Loc.Actor.Exclusive()
-		id = r.m.commID(comm)
-		r.commIDs[comm] = id
-	}
-	rec.event(trace.EvCollEnd, 0, id, seq, bytes)
+	rec.event(trace.EvCollEnd, 0, r.m.commID(comm), seq, bytes)
 	rec.exit()
 }
 

@@ -2,7 +2,6 @@ package simmpi
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/vtime"
 )
@@ -41,15 +40,12 @@ type Comm struct {
 }
 
 type collSlot struct {
-	kind    CollKind
-	opener  int   // world rank that opened the slot (first caller)
-	callers []int // world ranks that have called into the slot so far
-	cond    *vtime.Cond
-	arrived int
-	// exited is atomic: the post-release bump happens in each rank's
-	// wake-up turn, which the parallel kernel may run concurrently across
-	// domains.  It only gates slot GC, never timing.
-	exited    atomic.Int32
+	kind      CollKind
+	opener    int   // world rank that opened the slot (first caller)
+	callers   []int // world ranks that have called into the slot so far
+	cond      *vtime.Cond
+	arrived   int
+	exited    int
 	released  bool
 	releaseAt float64
 	maxPB     uint64
@@ -77,9 +73,7 @@ func (c *Comm) Ranks() []int { return c.ranks }
 // Sub returns the sub-communicator containing the given world ranks.
 // Like MPI_Comm_split, Sub is logically collective: every member must call
 // it with the same rank list, and all calls return the same communicator
-// (memoised by member list).  Under the parallel kernel, call it before
-// Launch or from an exclusive turn (the collectives below establish one):
-// the memo table is world-shared state.
+// (memoised by member list).
 func (w *World) Sub(ranks []int) *Comm {
 	key := fmt.Sprint(ranks)
 	if w.subs == nil {
@@ -114,7 +108,7 @@ func (c *Comm) slotFor(p *Proc, kind CollKind) *collSlot {
 	// Opportunistic cleanup of fully-exited older slots.
 	if s.arrived == 0 {
 		for old, os := range c.slots {
-			if old < seq && int(os.exited.Load()) == len(c.ranks) {
+			if old < seq && os.exited == len(c.ranks) {
 				delete(c.slots, old)
 			}
 		}
@@ -174,7 +168,7 @@ func (c *Comm) finish(p *Proc, s *collSlot, pb uint64) uint64 {
 	for !s.released {
 		s.cond.Wait(a)
 	}
-	s.exited.Add(1)
+	s.exited++
 	return s.maxPB
 }
 
@@ -182,7 +176,6 @@ func (c *Comm) finish(p *Proc, s *collSlot, pb uint64) uint64 {
 // clock piggyback; the maximum over all participants is returned.
 func (c *Comm) Barrier(p *Proc, pb uint64) uint64 {
 	p.Loc.Actor.Compute(c.w.Cfg.CollOverhead)
-	p.Loc.Actor.Exclusive() // slot table and payload merge are communicator-shared
 	s := c.slotFor(p, CollBarrier)
 	return c.finish(p, s, pb)
 }
@@ -191,7 +184,6 @@ func (c *Comm) Barrier(p *Proc, pb uint64) uint64 {
 // the result (a fresh slice) to every rank, plus the piggyback maximum.
 func (c *Comm) Allreduce(p *Proc, data []float64, op Op, pb uint64) ([]float64, uint64) {
 	p.Loc.Actor.Compute(c.w.Cfg.CollOverhead)
-	p.Loc.Actor.Exclusive() // slot table and payload merge are communicator-shared
 	s := c.slotFor(p, CollAllreduce)
 	if s.reduce == nil {
 		s.reduce = append([]float64(nil), data...)
@@ -222,7 +214,6 @@ func (c *Comm) Allreduce(p *Proc, data []float64, op Op, pb uint64) ([]float64, 
 // Bcast distributes root's data to every rank.  Non-root ranks pass nil.
 func (c *Comm) Bcast(p *Proc, root int, data []float64, pb uint64) ([]float64, uint64) {
 	p.Loc.Actor.Compute(c.w.Cfg.CollOverhead)
-	p.Loc.Actor.Exclusive() // slot table and payload merge are communicator-shared
 	s := c.slotFor(p, CollBcast)
 	if p.Rank == root {
 		s.bcast = append([]float64(nil), data...)
@@ -236,7 +227,6 @@ func (c *Comm) Bcast(p *Proc, root int, data []float64, pb uint64) ([]float64, u
 // of the communicator's i-th rank.
 func (c *Comm) Allgather(p *Proc, data []float64, pb uint64) ([][]float64, uint64) {
 	p.Loc.Actor.Compute(c.w.Cfg.CollOverhead)
-	p.Loc.Actor.Exclusive() // slot table and payload merge are communicator-shared
 	s := c.slotFor(p, CollAllgather)
 	if s.gather == nil {
 		s.gather = make([][]float64, len(c.ranks))
@@ -258,7 +248,6 @@ func (c *Comm) Alltoall(p *Proc, data [][]float64, pb uint64) ([][]float64, uint
 		panic("simmpi: Alltoall needs one slice per rank")
 	}
 	p.Loc.Actor.Compute(c.w.Cfg.CollOverhead)
-	p.Loc.Actor.Exclusive() // slot table and payload merge are communicator-shared
 	s := c.slotFor(p, CollAlltoall)
 	if s.gather == nil {
 		s.gather = make([][]float64, len(c.ranks)*len(c.ranks))

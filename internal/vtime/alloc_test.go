@@ -53,34 +53,3 @@ func TestPostRecyclesActionShells(t *testing.T) {
 		t.Fatalf("freelist holds %d shells after a 64-link Post chain, want at most 2", n)
 	}
 }
-
-// TestParallelWaveAllocBudget is the same gate for the conservative
-// parallel scheduler's safe-window hot path: wave formation (group by
-// domain, pin split), staged turns, the barrier and the commit replay
-// must all run out of reused per-domain and per-actor buffers.  Eight
-// single-actor domains × 250 actions under four workers may allocate
-// only setup (kernel, resources, actors, workers, grown-once staging
-// slices) — a regression to per-turn or per-wave allocation costs
-// thousands here and fails loudly.
-func TestParallelWaveAllocBudget(t *testing.T) {
-	avg := testing.AllocsPerRun(5, func() {
-		k := NewKernel()
-		k.SetParallel(4, 8)
-		for i := 0; i < 8; i++ {
-			bw := k.NewResource("bw", 100)
-			d := i
-			k.Spawn("w", func(a *Actor) {
-				a.SetDomain(d)
-				for j := 0; j < 250; j++ {
-					a.Execute(Action{Work: 1, RateCap: 2, Res: bw, ResPerUnit: 1})
-				}
-			})
-		}
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 500 {
-		t.Errorf("2000-action parallel simulation allocated %.0f objects on average; wave scheduling must stay allocation-free (setup budget 500)", avg)
-	}
-}
