@@ -173,6 +173,12 @@ func BenchmarkAnalyzer(b *testing.B) {
 	benchWorkload(b, "Analyzer")
 }
 
+// BenchmarkTraceCheckTeaLeaf4 measures trace verification on a trace
+// with 128-rank collectives.
+func BenchmarkTraceCheckTeaLeaf4(b *testing.B) {
+	benchWorkload(b, "TraceCheckTeaLeaf4")
+}
+
 // BenchmarkTraceRoundTrip measures binary trace serialisation.
 func BenchmarkTraceRoundTrip(b *testing.B) {
 	benchWorkload(b, "TraceRoundTrip")

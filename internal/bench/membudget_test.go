@@ -160,3 +160,34 @@ func TestMillionEventReplayHeapBudget(t *testing.T) {
 			before.HeapAlloc, after.HeapAlloc, retainBudget)
 	}
 }
+
+// TestTraceCheckAllocBudget gates the linear-size happens-before
+// reconstruction of tracecheck.  TeaLeaf-4's collectives span 128 ranks,
+// so materializing each instance's k(k-1) release edges, or a fresh
+// 128-wide vector per event, costs several hundred bytes to kilobytes
+// per trace event (the pairwise form allocated ~245 MB per verify of
+// this 83k-event trace, ~3 KB/event).  Keeping one record per instance,
+// rolling per-location vectors and only the sampled events' vectors
+// allocates ~120 bytes/event; the budget leaves headroom for that but
+// not for either quadratic or per-event-vector materialization.
+func TestTraceCheckAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates TeaLeaf-4")
+	}
+	const bytesPerEventBudget = 256
+
+	ins, err := traceCheckTeaLeaf4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Measure("TraceCheckTeaLeaf4", ins, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perEvent := m.BytesPerOp / float64(ins.Events)
+	t.Logf("verify of %d events: %.0f bytes/op (%.0f bytes/event), %.0f allocs/op",
+		ins.Events, m.BytesPerOp, perEvent, m.AllocsPerOp)
+	if perEvent > bytesPerEventBudget {
+		t.Errorf("tracecheck.Verify allocates %.0f bytes/event, budget %d", perEvent, bytesPerEventBudget)
+	}
+}

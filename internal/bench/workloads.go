@@ -11,6 +11,7 @@ import (
 	"repro/internal/noise"
 	"repro/internal/scalasca"
 	"repro/internal/trace"
+	"repro/internal/tracecheck"
 	"repro/internal/vtime"
 	"repro/internal/work"
 )
@@ -57,6 +58,11 @@ func Workloads() []Workload {
 			Name: "TraceRoundTrip",
 			Desc: "binary serialise + parse of a MiniFE-1 quick trace",
 			Make: traceRoundTrip,
+		},
+		{
+			Name: "TraceCheckTeaLeaf4",
+			Desc: "tracecheck.Verify of a TeaLeaf-4 quick lt_stmt trace (128-rank collectives)",
+			Make: traceCheckTeaLeaf4,
 		},
 		{
 			Name: "TracePipeRecord",
@@ -173,6 +179,29 @@ func analyzer() (*Instance, error) {
 		Op: func() error {
 			_, err := scalasca.Analyze(res.Trace)
 			return err
+		},
+	}, nil
+}
+
+// traceCheckTeaLeaf4 verifies a trace whose collectives span all 128
+// ranks, the shape where happens-before reconstruction cost depends on
+// whether an instance's release edges are materialized pairwise.
+func traceCheckTeaLeaf4() (*Instance, error) {
+	spec, err := experiment.SpecByName("TeaLeaf-4", experiment.Options{Quick: true})
+	if err != nil {
+		return nil, err
+	}
+	res, err := experiment.Run(spec, core.ModeStmt, 1, noise.Params{}, false)
+	if err != nil {
+		return nil, err
+	}
+	return &Instance{
+		Events: int64(res.Trace.NumEvents()),
+		Op: func() error {
+			if r := tracecheck.Verify(res.Trace, tracecheck.Options{}); !r.OK() {
+				return fmt.Errorf("TeaLeaf-4 trace failed verification with %d violations", r.NumViolations())
+			}
+			return nil
 		},
 	}, nil
 }

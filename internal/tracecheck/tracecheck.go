@@ -261,7 +261,10 @@ func verify(st *trace.Stream, mat *trace.Trace, opt Options) *Report {
 	c.checkCollectives()
 	c.checkBarriers()
 	c.checkForkJoin()
-	c.rep.Edges = len(c.edges)
+	c.rep.Edges = len(c.msgEdges) + len(c.ompEdges)
+	for _, in := range c.insts {
+		c.rep.Edges += in.edges
+	}
 	c.checkEdges()
 	c.vectorAudit()
 	sort.SliceStable(c.rep.Violations, func(i, j int) bool {
@@ -294,16 +297,21 @@ type exitRef struct {
 	provisional bool
 }
 
-// collPart is one location's participation in a collective, barrier,
-// fork or join instance, with every event attribute the later passes
-// need captured as the scan streamed past it.
+// collPart is one location's participation in a collective or barrier
+// instance, with every event attribute the later passes need captured
+// as the scan streamed past it.
 type collPart struct {
-	pos      EventPos // the Coll/Barrier/Fork/Join record itself
+	pos      EventPos // the Coll/Barrier record itself
 	enterPos EventPos // enclosing Enter (edge source for collectives)
 	exit     *exitRef // exit closing the enclosing region (edge target)
 	name     string   // operation (enclosing region) name
-	seq      int32    // Fork/Join sequence number
 	team     int32    // Barrier team size
+}
+
+// forkRec is one Fork or Join record on a master stream.
+type forkRec struct {
+	pos EventPos
+	seq int32
 }
 
 type recvRec struct {
@@ -327,6 +335,15 @@ type segment struct{ start, end EventPos }
 // positions (and thus timestamps) captured.
 type edgeRec struct{ from, to EventPos }
 
+// instance is one collective or barrier instance kept whole.  It stands
+// for its release edges — every part's enter to every other-location
+// part's exit — without materializing them.
+type instance struct {
+	parts []collPart
+	dup   bool // some location participates more than once
+	edges int  // implied pairwise edges
+}
+
 type checker struct {
 	st  *trace.Stream
 	mat *trace.Trace // set when the caller already holds the trace
@@ -337,12 +354,22 @@ type checker struct {
 	recvs    []recvRec               // global stream order (locations ascending)
 	colls    map[[2]int32][]collPart // (comm, seq)
 	bars     map[[2]int32][]collPart // (rank, seq)
-	forks    map[int32][]collPart    // rank -> forks in stream order
-	joins    map[int32][]collPart    // rank -> joins in stream order
+	forks    map[int32][]forkRec     // rank -> forks in stream order
+	joins    map[int32][]forkRec     // rank -> joins in stream order
 	collSeqs [][]collSeqRec          // per location, stream order
 	segs     [][]segment             // per worker location
 
-	edges []edgeRec
+	// The synchronisation edges in emission order, which fixes the order
+	// of edge violations: message edges, then the collective and barrier
+	// instances, then fork and join edges.
+	msgEdges []edgeRec
+	insts    []instance
+	ompEdges []edgeRec
+
+	// mark is scratch indexed by location for duplicate detection; a
+	// slot equal to markGen was visited by the current instance.
+	mark    []int
+	markGen int
 }
 
 // violate records a violation, honouring the per-kind cap.
@@ -371,8 +398,8 @@ func (c *checker) scan() {
 	c.sends = make(map[chanKey][]EventPos)
 	c.colls = make(map[[2]int32][]collPart)
 	c.bars = make(map[[2]int32][]collPart)
-	c.forks = make(map[int32][]collPart)
-	c.joins = make(map[int32][]collPart)
+	c.forks = make(map[int32][]forkRec)
+	c.joins = make(map[int32][]forkRec)
 	c.collSeqs = make([][]collSeqRec, nloc)
 	c.segs = make([][]segment, nloc)
 
@@ -477,12 +504,12 @@ func (c *checker) scan() {
 				if l.Thread != 0 {
 					c.violate(KindForkJoin, p, nil, "fork recorded on worker thread")
 				}
-				c.forks[int32(l.Rank)] = append(c.forks[int32(l.Rank)], collPart{pos: p, seq: e.B})
+				c.forks[int32(l.Rank)] = append(c.forks[int32(l.Rank)], forkRec{pos: p, seq: e.B})
 			case trace.EvJoin:
 				if l.Thread != 0 {
 					c.violate(KindForkJoin, p, nil, "join recorded on worker thread")
 				}
-				c.joins[int32(l.Rank)] = append(c.joins[int32(l.Rank)], collPart{pos: p, seq: e.B})
+				c.joins[int32(l.Rank)] = append(c.joins[int32(l.Rank)], forkRec{pos: p, seq: e.B})
 			}
 
 			if worker {
@@ -547,7 +574,7 @@ func (c *checker) matchMessages() {
 			}
 			continue
 		}
-		c.edges = append(c.edges, edgeRec{from: q[0], to: r.pos})
+		c.msgEdges = append(c.msgEdges, edgeRec{from: q[0], to: r.pos})
 		pending[r.key] = q[1:]
 	}
 	keys := make([]chanKey, 0, len(pending))
@@ -579,7 +606,8 @@ func (c *checker) matchMessages() {
 
 // checkCollectives verifies per-location sequence ordering, full and
 // exactly-once participation, and operation-name agreement for every
-// collective instance, then emits the all-to-all release edges.
+// collective instance, then records the instance for its all-to-all
+// release edges.
 func (c *checker) checkCollectives() {
 	keys := sortedKeys2(c.colls)
 	// Communicator membership: every location that ever participates.
@@ -605,8 +633,10 @@ func (c *checker) checkCollectives() {
 		comms = append(comms, comm)
 	}
 	sort.Slice(comms, func(i, j int) bool { return comms[i] < comms[j] })
+	memberLocs := make(map[int32][]int, len(comms))
 	for _, comm := range comms {
 		locs := sortedInts(members[comm])
+		memberLocs[comm] = locs
 		for _, li := range locs {
 			seqs := perLocSeqs[comm][li]
 			for i, s := range seqs {
@@ -628,7 +658,7 @@ func (c *checker) checkCollectives() {
 			seen[p.pos.Loc]++
 		}
 		first := parts[0]
-		for _, li := range sortedInts(members[comm]) {
+		for _, li := range memberLocs[comm] {
 			switch n := seen[li]; {
 			case n == 0:
 				if c.opt.Partial {
@@ -651,7 +681,7 @@ func (c *checker) checkCollectives() {
 					p.name, first.name, comm, seq)
 			}
 		}
-		c.allToAll(parts)
+		c.addInstance(parts)
 	}
 }
 
@@ -667,26 +697,58 @@ func (c *checker) findColl(li int, comm, seq int32) EventPos {
 	return EventPos{Loc: li, Rank: l.Rank, Thread: l.Thread}
 }
 
-// allToAll emits the release edges of one collective or barrier
-// instance: every participant's exit happens after every participant's
-// contribution.
-func (c *checker) allToAll(parts []collPart) {
-	for _, a := range parts {
-		for _, b := range parts {
-			if a.pos.Loc == b.pos.Loc {
+// addInstance records one collective or barrier instance: every
+// participant's exit happens after every other participant's
+// contribution.  It counts the implied pairwise edges in O(k) unless a
+// location participates twice.
+func (c *checker) addInstance(parts []collPart) {
+	if c.mark == nil {
+		c.mark = make([]int, c.st.NumLocs())
+	}
+	c.markGen++
+	in := instance{parts: parts}
+	targets := 0
+	for _, p := range parts {
+		if c.mark[p.pos.Loc] == c.markGen {
+			in.dup = true
+		}
+		c.mark[p.pos.Loc] = c.markGen
+		if !c.releasePending(p) {
+			targets++
+		}
+	}
+	if !in.dup {
+		in.edges = targets * (len(parts) - 1)
+	} else {
+		c.eachInstanceEdge(parts, func(from, to *EventPos) { in.edges++ })
+	}
+	c.insts = append(c.insts, in)
+}
+
+// releasePending reports whether a part's releasing Exit is not on disk
+// yet, so a Partial verification skips the edges into it.
+func (c *checker) releasePending(p collPart) bool {
+	return c.opt.Partial && p.exit.provisional
+}
+
+// eachInstanceEdge enumerates an instance's release edges source-major,
+// the order in which the pairwise checker emitted them.
+func (c *checker) eachInstanceEdge(parts []collPart, fn func(from, to *EventPos)) {
+	for i := range parts {
+		a := &parts[i]
+		for j := range parts {
+			b := &parts[j]
+			if a.pos.Loc == b.pos.Loc || c.releasePending(*b) {
 				continue
 			}
-			if c.opt.Partial && b.exit.provisional {
-				continue // the releasing Exit is not on disk yet
-			}
-			c.edges = append(c.edges, edgeRec{from: a.enterPos, to: b.exit.pos})
+			fn(&a.enterPos, &b.exit.pos)
 		}
 	}
 }
 
 // checkBarriers verifies that each OpenMP barrier instance is reached by
 // the full team (the per-thread sequence order was checked in-stream by
-// the scan), then emits its edges.
+// the scan), then records the instance for its release edges.
 func (c *checker) checkBarriers() {
 	teamSize := make(map[int32]int) // rank -> location count
 	for i := 0; i < c.st.NumLocs(); i++ {
@@ -710,7 +772,7 @@ func (c *checker) checkBarriers() {
 			c.violate(KindBarrier, parts[0].pos, nil,
 				"%d of %d threads reached barrier seq %d on rank %d", len(parts), want, seq, rank)
 		}
-		c.allToAll(parts)
+		c.addInstance(parts)
 	}
 }
 
@@ -733,7 +795,13 @@ func (c *checker) checkForkJoin() {
 	}
 	sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
 
-	segIdx := make(map[int]int)
+	workers := make(map[int32][]int) // rank -> worker locations, ascending
+	for li := 0; li < c.st.NumLocs(); li++ {
+		if l := c.st.Loc(li); l.Thread != 0 {
+			workers[int32(l.Rank)] = append(workers[int32(l.Rank)], li)
+		}
+	}
+	segIdx := make([]int, c.st.NumLocs())
 	for _, rank := range ranks {
 		forks, joins := c.forks[rank], c.joins[rank]
 		// Alternation and sequence checks on the master stream.
@@ -768,25 +836,17 @@ func (c *checker) checkForkJoin() {
 		}
 		// Edges, processing forks in sequence order.
 		for i, f := range forks {
-			for li := 0; li < c.st.NumLocs(); li++ {
-				l := c.st.Loc(li)
-				if int32(l.Rank) != rank || l.Thread == 0 {
-					continue
-				}
+			for _, li := range workers[rank] {
 				if segIdx[li] < len(c.segs[li]) {
-					c.edges = append(c.edges, edgeRec{from: f.pos, to: c.segs[li][segIdx[li]].start})
+					c.ompEdges = append(c.ompEdges, edgeRec{from: f.pos, to: c.segs[li][segIdx[li]].start})
 					segIdx[li]++
 				}
 			}
 			if i < len(joins) {
 				j := joins[i]
-				for li := 0; li < c.st.NumLocs(); li++ {
-					l := c.st.Loc(li)
-					if int32(l.Rank) != rank || l.Thread == 0 {
-						continue
-					}
+				for _, li := range workers[rank] {
 					if n := segIdx[li]; n > 0 {
-						c.edges = append(c.edges, edgeRec{from: c.segs[li][n-1].end, to: j.pos})
+						c.ompEdges = append(c.ompEdges, edgeRec{from: c.segs[li][n-1].end, to: j.pos})
 					}
 				}
 			}
@@ -800,23 +860,71 @@ func (c *checker) checkEdges() {
 	if !c.rep.Logical {
 		return
 	}
-	for _, e := range c.edges {
-		from, to := e.from.Time, e.to.Time
-		switch {
-		case to <= from:
-			fp := e.from
-			c.violate(KindClockCondition, e.to, &fp,
-				"edge target stamp %d does not exceed source stamp %d", to, from)
-		case to == from+1:
-			fp := e.from
-			c.violate(KindPiggyback, e.to, &fp,
-				"synchronisation gained only one tick (%d -> %d); piggyback apparently not folded in", from, to)
+	for i := range c.msgEdges {
+		c.checkEdge(&c.msgEdges[i].from, &c.msgEdges[i].to)
+	}
+	for _, in := range c.insts {
+		if !in.dup && c.instanceClean(in.parts) {
+			continue
 		}
+		c.eachInstanceEdge(in.parts, c.checkEdge)
+	}
+	for i := range c.ompEdges {
+		c.checkEdge(&c.ompEdges[i].from, &c.ompEdges[i].to)
 	}
 }
 
-// vectorAudit computes full vector clocks from the reconstructed edges
-// and checks the clock condition transitively on sampled event pairs —
+// checkEdge verifies one synchronisation edge: the target's stamp must
+// exceed the source's by at least two ticks.
+func (c *checker) checkEdge(from, to *EventPos) {
+	switch {
+	case to.Time <= from.Time:
+		fp := *from
+		c.violate(KindClockCondition, *to, &fp,
+			"edge target stamp %d does not exceed source stamp %d", to.Time, from.Time)
+	case to.Time == from.Time+1:
+		fp := *from
+		c.violate(KindPiggyback, *to, &fp,
+			"synchronisation gained only one tick (%d -> %d); piggyback apparently not folded in", from.Time, to.Time)
+	}
+}
+
+// instanceClean reports, in O(k), whether no release edge of an
+// instance whose locations are distinct violates checkEdge: every
+// target's exit must exceed the largest other-location enter stamp by
+// at least two ticks.
+func (c *checker) instanceClean(parts []collPart) bool {
+	if len(parts) < 2 {
+		return true // no release edges
+	}
+	var top1, top2 uint64 // the two largest enter stamps
+	loc1 := -1            // the location holding top1
+	for i, p := range parts {
+		switch t := p.enterPos.Time; {
+		case i == 0 || t > top1:
+			top1, top2, loc1 = t, top1, p.pos.Loc
+		case i == 1 || t > top2:
+			top2 = t
+		}
+	}
+	for _, b := range parts {
+		if c.releasePending(b) {
+			continue
+		}
+		from := top1
+		if b.pos.Loc == loc1 {
+			from = top2
+		}
+		if to := b.exit.pos.Time; to <= from || to-from < 2 {
+			return false
+		}
+	}
+	return true
+}
+
+// vectorAudit replays vector clocks over the reconstructed edges and
+// instance hubs and checks the clock condition transitively on sampled
+// event pairs —
 // the belt-and-braces pass that would catch an edge set too weak to
 // imply the full happens-before relation.  It is the one pass that
 // needs the whole trace; below MaxVectorCells it materializes the
@@ -840,14 +948,43 @@ func (c *checker) vectorAudit() {
 			return
 		}
 	}
-	edges := make([]vclock.Edge, len(c.edges))
-	for i, e := range c.edges {
-		edges[i] = vclock.Edge{
-			From: vclock.EventRef{Loc: e.from.Loc, Index: e.from.Index},
-			To:   vclock.EventRef{Loc: e.to.Loc, Index: e.to.Index},
+	ref := func(p EventPos) vclock.EventRef { return vclock.EventRef{Loc: p.Loc, Index: p.Index} }
+	edges := make([]vclock.Edge, 0, len(c.msgEdges)+len(c.ompEdges))
+	for _, es := range [][]edgeRec{c.msgEdges, c.ompEdges} {
+		for _, e := range es {
+			edges = append(edges, vclock.Edge{From: ref(e.from), To: ref(e.to)})
 		}
 	}
-	clocks, err := vclock.ComputeFromEdges(tr, edges)
+	hubs := make([]vclock.Hub, len(c.insts))
+	for i, in := range c.insts {
+		hubs[i] = make(vclock.Hub, len(in.parts))
+		for j, p := range in.parts {
+			hubs[i][j] = vclock.Part{Source: ref(p.enterPos), Target: ref(p.exit.pos)}
+		}
+	}
+	// Only the sampled events' vectors are read, and only on a logical
+	// trace; otherwise the replay runs for its cycle check alone.
+	samples := make([][]int, len(tr.Locs))
+	if c.rep.Logical {
+		for li, l := range tr.Locs {
+			n := len(l.Events)
+			if n == 0 {
+				continue
+			}
+			k := c.opt.SamplesPerLoc
+			if k > n {
+				k = n
+			}
+			step := 1
+			if k > 1 {
+				step = k - 1
+			}
+			for i := 0; i < k; i++ {
+				samples[li] = append(samples[li], i*(n-1)/step)
+			}
+		}
+	}
+	clocks, err := vclock.ComputeSync(tr, edges, hubs, samples)
 	if err != nil {
 		c.violate(KindCycle, EventPos{Loc: -1, Index: -1}, nil,
 			"vector-clock replay failed: %v", err)
@@ -856,25 +993,7 @@ func (c *checker) vectorAudit() {
 	if !c.rep.Logical {
 		return
 	}
-	ctx := regionContexts(tr)
-	samples := make([][]int, len(tr.Locs))
-	for li, l := range tr.Locs {
-		n := len(l.Events)
-		if n == 0 {
-			continue
-		}
-		k := c.opt.SamplesPerLoc
-		if k > n {
-			k = n
-		}
-		step := 1
-		if k > 1 {
-			step = k - 1
-		}
-		for i := 0; i < k; i++ {
-			samples[li] = append(samples[li], i*(n-1)/step)
-		}
-	}
+	var ctx [][]trace.RegionID // built on the first violation
 	for la := range tr.Locs {
 		for lb := range tr.Locs {
 			if la == lb {
@@ -889,6 +1008,9 @@ func (c *checker) vectorAudit() {
 						ta := tr.Locs[la].Events[ia].Time
 						tb := tr.Locs[lb].Events[ib].Time
 						if ta >= tb {
+							if ctx == nil {
+								ctx = regionContexts(tr)
+							}
 							pb := posIn(tr, ctx, la, ia)
 							c.violate(KindClockCondition, posIn(tr, ctx, lb, ib), &pb,
 								"transitively ordered pair has stamps %d -> %d", ta, tb)

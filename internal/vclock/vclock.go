@@ -25,33 +25,45 @@ type EventRef struct {
 	Index int // index into the location's event slice
 }
 
-// Clocks holds the vector timestamps of every event of a trace.
+// Clocks holds the vector timestamps of a trace's events: all of them
+// (Compute, ComputeFromEdges) or a retained subset (ComputeSync).
 type Clocks struct {
 	tr *trace.Trace
-	// vecs[loc][event] is the event's vector timestamp.
+	// keep[loc] lists the retained event indices of a location in
+	// ascending order; nil means every event is retained.
+	keep [][]int
+	// vecs[loc][k] is the vector timestamp of the location's k-th
+	// retained event (its k-th event when keep is nil).
 	vecs [][][]uint32
 }
 
-// Vector returns the vector timestamp of an event.
-func (c *Clocks) Vector(e EventRef) []uint32 { return c.vecs[e.Loc][e.Index] }
-
-// HappensBefore reports whether event a causally precedes event b.
-func (c *Clocks) HappensBefore(a, b EventRef) bool {
-	va, vb := c.Vector(a), c.Vector(b)
-	leq, lt := true, false
-	for i := range va {
-		if va[i] > vb[i] {
-			leq = false
-			break
-		}
-		if va[i] < vb[i] {
-			lt = true
-		}
+// Vector returns the vector timestamp of an event, or nil when the
+// event's vector was not retained.
+func (c *Clocks) Vector(e EventRef) []uint32 {
+	if c.keep == nil {
+		return c.vecs[e.Loc][e.Index]
 	}
-	return leq && lt
+	keep := c.keep[e.Loc]
+	if k := sort.SearchInts(keep, e.Index); k < len(keep) && keep[k] == e.Index {
+		return c.vecs[e.Loc][k]
+	}
+	return nil
 }
 
-// Concurrent reports whether two events are causally unordered.
+// HappensBefore reports whether event a causally precedes event b.  Only
+// b's vector is read and it must be retained.  Every event ticks its own
+// location's component, so V(a)[a.Loc] = a.Index+1 and, for events on
+// different locations, V(a) < V(b) component-wise exactly when b's
+// vector has caught up with a on a's location.
+func (c *Clocks) HappensBefore(a, b EventRef) bool {
+	if a.Loc == b.Loc {
+		return a.Index < b.Index
+	}
+	return uint32(a.Index) < c.Vector(b)[a.Loc]
+}
+
+// Concurrent reports whether two events are causally unordered.  Both
+// events' vectors must be retained.
 func (c *Clocks) Concurrent(a, b EventRef) bool {
 	return !c.HappensBefore(a, b) && !c.HappensBefore(b, a)
 }
@@ -62,6 +74,16 @@ type Edge struct {
 	From EventRef
 	To   EventRef
 }
+
+// Part is one participant of a hub: the event carrying its
+// contribution and the event that releases it.
+type Part struct{ Source, Target EventRef }
+
+// Hub is one collective or barrier instance kept whole: every part's
+// Target happens after every other-location part's Source — the
+// all-to-all release edges of the instance, without their quadratic
+// expansion.
+type Hub []Part
 
 // Edges reconstructs the cross-location synchronisation edges of a trace
 // (messages, collectives, forks, joins, barriers).  Exposed for analyses
@@ -79,32 +101,97 @@ func Compute(tr *trace.Trace) (*Clocks, error) {
 	return ComputeFromEdges(tr, edges)
 }
 
-// ComputeFromEdges assigns vector timestamps given an explicit
-// synchronisation-edge set — the hook for analyses (internal/tracecheck)
-// that reconstruct edges tolerantly from partially broken traces instead
-// of failing on the first unmatched receive the way matchEdges does.
+// ComputeFromEdges assigns every event a vector timestamp given an
+// explicit synchronisation-edge set.
 func ComputeFromEdges(tr *trace.Trace, edges []Edge) (*Clocks, error) {
-	// Group incoming edges per target event.
-	incoming := make(map[EventRef][]EventRef)
-	for _, e := range edges {
-		incoming[e.To] = append(incoming[e.To], e.From)
-	}
+	return ComputeSync(tr, edges, nil, nil)
+}
+
+// channel is one unit of incoming synchronisation during a replay: a
+// point edge (one source, one target) or a hub.  Its vector is the join
+// of its completed sources' vectors.
+type channel struct {
+	vec     []uint32
+	pending int // sources not yet completed
+	left    int // targets not yet replayed; vec is recycled at zero
+}
+
+// endpoint attaches a channel to one event of a location.
+type endpoint struct{ index, ch int }
+
+// ComputeSync assigns vector timestamps given point edges and hubs — the
+// hook for analyses (internal/tracecheck) that reconstruct the
+// synchronisation structure tolerantly from partially broken traces
+// instead of failing on the first unmatched receive the way matchEdges
+// does.  keep[loc] lists, ascending, the events whose vectors are
+// retained; a nil keep retains every event.
+//
+// A hub target joins the hub vector, the join of all its sources.  That
+// equals joining only the other-location sources because a target's
+// own-location source precedes it in program order.  A hub where that
+// fails — a location listed twice, or a source at or after a target on
+// the same location — is expanded to its explicit edges, so readiness
+// and the cycle error match the pairwise form exactly.
+func ComputeSync(tr *trace.Trace, edges []Edge, hubs []Hub, keep [][]int) (*Clocks, error) {
 	n := len(tr.Locs)
-	c := &Clocks{tr: tr, vecs: make([][][]uint32, n)}
+	var chans []channel
+	srcs := make([][]endpoint, n)
+	tgts := make([][]endpoint, n)
+	addEdge := func(from, to EventRef) {
+		id := len(chans)
+		chans = append(chans, channel{pending: 1, left: 1})
+		srcs[from.Loc] = append(srcs[from.Loc], endpoint{from.Index, id})
+		tgts[to.Loc] = append(tgts[to.Loc], endpoint{to.Index, id})
+	}
+	for _, e := range edges {
+		addEdge(e.From, e.To)
+	}
+	mark := make([]int, n) // hub id + 1 of the last hub to visit a location
+	for hi, h := range hubs {
+		if hubExact(h, mark, hi+1) {
+			id := len(chans)
+			chans = append(chans, channel{pending: len(h), left: len(h)})
+			for _, p := range h {
+				srcs[p.Source.Loc] = append(srcs[p.Source.Loc], endpoint{p.Source.Index, id})
+				tgts[p.Target.Loc] = append(tgts[p.Target.Loc], endpoint{p.Target.Index, id})
+			}
+			continue
+		}
+		for _, a := range h {
+			for _, b := range h {
+				if a.Source.Loc != b.Target.Loc {
+					addEdge(a.Source, b.Target)
+				}
+			}
+		}
+	}
+	byIndex := func(eps []endpoint) {
+		sort.SliceStable(eps, func(i, j int) bool { return eps[i].index < eps[j].index })
+	}
+	for li := 0; li < n; li++ {
+		byIndex(srcs[li])
+		byIndex(tgts[li])
+	}
+
+	c := &Clocks{tr: tr, keep: keep, vecs: make([][][]uint32, n)}
 	for li := range tr.Locs {
-		c.vecs[li] = make([][]uint32, len(tr.Locs[li].Events))
+		kept := len(tr.Locs[li].Events)
+		if keep != nil {
+			kept = len(keep[li])
+		}
+		c.vecs[li] = make([][]uint32, kept)
+	}
+	var free [][]uint32        // recycled channel vectors
+	cur := make([][]uint32, n) // rolling vector of each location's last replayed event
+	for li := range cur {
+		cur[li] = make([]uint32, n)
 	}
 	// Process events in a topological order: repeatedly advance each
 	// location past events whose cross-location dependencies are ready.
-	done := make([]int, n) // events completed per location
-	ready := func(ref EventRef) bool {
-		for _, dep := range incoming[ref] {
-			if done[dep.Loc] <= dep.Index {
-				return false
-			}
-		}
-		return true
-	}
+	done := make([]int, n)  // events completed per location
+	srcAt := make([]int, n) // next unconsumed srcs[loc] entry
+	tgtAt := make([]int, n) // next unconsumed tgts[loc] entry
+	keepAt := make([]int, n)
 	remaining := 0
 	for _, l := range tr.Locs {
 		remaining += len(l.Events)
@@ -112,25 +199,62 @@ func ComputeFromEdges(tr *trace.Trace, edges []Edge) (*Clocks, error) {
 	for remaining > 0 {
 		progressed := false
 		for li := range tr.Locs {
+			vec := cur[li]
 			for done[li] < len(tr.Locs[li].Events) {
-				ref := EventRef{li, done[li]}
-				if !ready(ref) {
+				ei := done[li]
+				in := tgts[li][tgtAt[li]:]
+				nin := 0
+				for nin < len(in) && in[nin].index == ei {
+					nin++
+				}
+				ready := true
+				for _, t := range in[:nin] {
+					if chans[t.ch].pending > 0 {
+						ready = false
+						break
+					}
+				}
+				if !ready {
 					break
 				}
-				vec := make([]uint32, n)
-				if done[li] > 0 {
-					copy(vec, c.vecs[li][done[li]-1])
-				}
 				vec[li]++
-				for _, dep := range incoming[ref] {
-					dv := c.vecs[dep.Loc][dep.Index]
-					for i, v := range dv {
+				for _, t := range in[:nin] {
+					ch := &chans[t.ch]
+					for i, v := range ch.vec {
 						if v > vec[i] {
 							vec[i] = v
 						}
 					}
+					if ch.left--; ch.left == 0 && ch.vec != nil {
+						free = append(free, ch.vec)
+						ch.vec = nil
+					}
 				}
-				c.vecs[li][done[li]] = vec
+				tgtAt[li] += nin
+				for out := srcs[li]; srcAt[li] < len(out) && out[srcAt[li]].index == ei; srcAt[li]++ {
+					ch := &chans[out[srcAt[li]].ch]
+					if ch.vec == nil {
+						if k := len(free); k > 0 {
+							ch.vec = free[k-1]
+							free = free[:k-1]
+							clear(ch.vec)
+						} else {
+							ch.vec = make([]uint32, n)
+						}
+					}
+					for i, v := range vec {
+						if v > ch.vec[i] {
+							ch.vec[i] = v
+						}
+					}
+					ch.pending--
+				}
+				if keep == nil {
+					c.vecs[li][ei] = append([]uint32(nil), vec...)
+				} else if k := keepAt[li]; k < len(keep[li]) && keep[li][k] == ei {
+					c.vecs[li][k] = append([]uint32(nil), vec...)
+					keepAt[li]++
+				}
 				done[li]++
 				remaining--
 				progressed = true
@@ -141,6 +265,21 @@ func ComputeFromEdges(tr *trace.Trace, edges []Edge) (*Clocks, error) {
 		}
 	}
 	return c, nil
+}
+
+// hubExact reports whether a hub can be replayed as one channel: every
+// part's source precedes its target on one location, and no location is
+// listed twice.  mark is scratch indexed by location; stamp is unique to
+// this call.
+func hubExact(h Hub, mark []int, stamp int) bool {
+	for _, p := range h {
+		s, t := p.Source, p.Target
+		if s.Loc != t.Loc || s.Index >= t.Index || mark[s.Loc] == stamp {
+			return false
+		}
+		mark[s.Loc] = stamp
+	}
+	return true
 }
 
 // matchEdges reconstructs the cross-location synchronisation edges of a

@@ -1,6 +1,8 @@
 package vclock
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -197,5 +199,282 @@ func TestTscWithSkewedClocksViolatesCondition(t *testing.T) {
 	}
 	if len(v) == 0 {
 		t.Fatal("expected clock-condition violations with 5 ms clock offsets")
+	}
+}
+
+// referenceVectors is the pairwise replay ComputeFromEdges used before
+// hubs and rolling vectors: a fresh vector per event, joined with the
+// vector of every incoming edge's source.  It is the definition the
+// optimised replay must reproduce.
+func referenceVectors(tr *trace.Trace, edges []Edge) ([][][]uint32, error) {
+	incoming := make(map[EventRef][]EventRef)
+	for _, e := range edges {
+		incoming[e.To] = append(incoming[e.To], e.From)
+	}
+	n := len(tr.Locs)
+	vecs := make([][][]uint32, n)
+	for li := range tr.Locs {
+		vecs[li] = make([][]uint32, len(tr.Locs[li].Events))
+	}
+	done := make([]int, n)
+	remaining := 0
+	for _, l := range tr.Locs {
+		remaining += len(l.Events)
+	}
+	for remaining > 0 {
+		progressed := false
+		for li := range tr.Locs {
+		events:
+			for done[li] < len(tr.Locs[li].Events) {
+				ref := EventRef{li, done[li]}
+				for _, dep := range incoming[ref] {
+					if done[dep.Loc] <= dep.Index {
+						break events
+					}
+				}
+				vec := make([]uint32, n)
+				if done[li] > 0 {
+					copy(vec, vecs[li][done[li]-1])
+				}
+				vec[li]++
+				for _, dep := range incoming[ref] {
+					for i, v := range vecs[dep.Loc][dep.Index] {
+						vec[i] = max(vec[i], v)
+					}
+				}
+				vecs[li][done[li]] = vec
+				done[li]++
+				remaining--
+				progressed = true
+			}
+		}
+		if !progressed {
+			return nil, fmt.Errorf("vclock: synchronisation cycle or unmatched dependency (%d events stuck)", remaining)
+		}
+	}
+	return vecs, nil
+}
+
+// expand returns a hub's explicit pairwise edges.
+func expand(hubs []Hub) []Edge {
+	var out []Edge
+	for _, h := range hubs {
+		for _, a := range h {
+			for _, b := range h {
+				if a.Source.Loc != b.Target.Loc {
+					out = append(out, Edge{From: a.Source, To: b.Target})
+				}
+			}
+		}
+	}
+	return out
+}
+
+func sameVectors(t *testing.T, c *Clocks, want [][][]uint32) {
+	t.Helper()
+	for li := range want {
+		for ei, w := range want[li] {
+			if got := c.Vector(EventRef{li, ei}); !slices.Equal(got, w) {
+				t.Fatalf("loc %d event %d: vector %v, want %v", li, ei, got, w)
+			}
+		}
+	}
+}
+
+// hubTrace builds nloc locations that each run events enter/exit pairs;
+// hubs and edges over them are supplied by the test.
+func hubTrace(nloc, events int) *trace.Trace {
+	tr := trace.New("lt_1")
+	reg := tr.Region("MPI_Allreduce", trace.RoleMPIColl)
+	for li := 0; li < nloc; li++ {
+		l := tr.AddLocation(li, 0)
+		for ei := 0; ei < events; ei++ {
+			k := trace.EvEnter
+			if ei%2 == 1 {
+				k = trace.EvExit
+			}
+			tr.Append(l, trace.Event{Kind: k, Time: uint64(ei + 1), Region: reg})
+		}
+	}
+	return tr
+}
+
+// TestHubMatchesPairwiseExpansion replays hubs and their explicit
+// pairwise expansion and requires identical vectors or identical cycle
+// errors — for clean hubs, for hubs that must fall back to explicit
+// edges (a location listed twice, a source at or after its target) and
+// for hubs whose instances cross into a cycle.
+func TestHubMatchesPairwiseExpansion(t *testing.T) {
+	part := func(loc, src, tgt int) Part {
+		return Part{Source: EventRef{loc, src}, Target: EventRef{loc, tgt}}
+	}
+	cases := []struct {
+		name   string
+		nloc   int
+		hubs   []Hub
+		edges  []Edge
+		cyclic bool
+	}{
+		{
+			name: "clean",
+			nloc: 4,
+			hubs: []Hub{
+				{part(0, 0, 1), part(1, 0, 1), part(2, 2, 3), part(3, 0, 1)},
+				{part(0, 4, 5), part(1, 2, 3), part(2, 4, 5)},
+			},
+			edges: []Edge{{From: EventRef{3, 2}, To: EventRef{0, 2}}},
+		},
+		{
+			name: "source-after-target",
+			nloc: 3,
+			hubs: []Hub{{part(0, 3, 1), part(1, 0, 1), part(2, 0, 1)}},
+		},
+		{
+			name: "source-at-target",
+			nloc: 3,
+			hubs: []Hub{{part(0, 2, 2), part(1, 0, 1), part(2, 0, 1)}},
+		},
+		{
+			name: "repeated-location",
+			nloc: 3,
+			hubs: []Hub{{part(0, 0, 1), part(1, 0, 1), part(0, 2, 3), part(2, 0, 3)}},
+		},
+		{
+			name: "crossing-cycle",
+			nloc: 2,
+			hubs: []Hub{
+				{part(0, 0, 1), part(1, 2, 3)},
+				{part(0, 2, 3), part(1, 0, 1)},
+			},
+			cyclic: true,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := hubTrace(tc.nloc, 6)
+			explicit := append(append([]Edge(nil), tc.edges...), expand(tc.hubs)...)
+			want, wantErr := referenceVectors(tr, explicit)
+			got, err := ComputeSync(tr, tc.edges, tc.hubs, nil)
+			if (wantErr != nil) != tc.cyclic {
+				t.Fatalf("reference replay error %v, cyclic=%v", wantErr, tc.cyclic)
+			}
+			if wantErr != nil {
+				if err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("hub replay error %v, want %v", err, wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameVectors(t, got, want)
+			pairwise, err := ComputeFromEdges(tr, explicit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameVectors(t, pairwise, want)
+		})
+	}
+}
+
+// TestComputeMatchesReference pins Compute's full vectors to the
+// pairwise reference replay on real traces with messages, forks, joins,
+// barriers and collectives.
+func TestComputeMatchesReference(t *testing.T) {
+	for _, tr := range []*trace.Trace{handTrace(), measuredTrace(t, core.ModeLt1, noise.Params{})} {
+		edges, err := Edges(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := referenceVectors(tr, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Compute(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameVectors(t, c, want)
+	}
+}
+
+// TestHappensBeforeMatchesComponentwise checks the O(1) happens-before
+// test against the component-wise vector order on every event pair of a
+// small real trace.
+func TestHappensBeforeMatchesComponentwise(t *testing.T) {
+	tr := measuredTrace(t, core.ModeLt1, noise.Params{})
+	c, err := Compute(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	less := func(va, vb []uint32) bool {
+		lt := false
+		for i := range va {
+			if va[i] > vb[i] {
+				return false
+			}
+			lt = lt || va[i] < vb[i]
+		}
+		return lt
+	}
+	var refs []EventRef
+	for li := range tr.Locs {
+		for ei := range tr.Locs[li].Events {
+			refs = append(refs, EventRef{li, ei})
+		}
+	}
+	ordered := 0
+	for _, a := range refs {
+		for _, b := range refs {
+			want := less(c.Vector(a), c.Vector(b))
+			if got := c.HappensBefore(a, b); got != want {
+				t.Fatalf("HappensBefore(%v, %v) = %v, component-wise %v", a, b, got, want)
+			}
+			if want && a.Loc != b.Loc {
+				ordered++
+			}
+		}
+	}
+	if ordered == 0 {
+		t.Fatal("no cross-location ordered pair: the trace exercises nothing")
+	}
+}
+
+// TestComputeSyncRetainsOnlyKept checks that a retained-subset replay
+// keeps exactly the selected events' vectors, equal to the full replay's.
+func TestComputeSyncRetainsOnlyKept(t *testing.T) {
+	tr := measuredTrace(t, core.ModeLt1, noise.Params{})
+	edges, err := Edges(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := ComputeFromEdges(tr, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := make([][]int, len(tr.Locs))
+	for li := range tr.Locs {
+		for ei := 0; ei < len(tr.Locs[li].Events); ei += 3 {
+			keep[li] = append(keep[li], ei)
+		}
+	}
+	part, err := ComputeSync(tr, edges, nil, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li := range tr.Locs {
+		for ei := range tr.Locs[li].Events {
+			ref := EventRef{li, ei}
+			got := part.Vector(ref)
+			if ei%3 != 0 {
+				if got != nil {
+					t.Fatalf("%v: vector retained but not kept", ref)
+				}
+				continue
+			}
+			if !slices.Equal(got, full.Vector(ref)) {
+				t.Fatalf("%v: kept vector %v, full replay %v", ref, got, full.Vector(ref))
+			}
+		}
 	}
 }

@@ -1,0 +1,95 @@
+package vtime
+
+import (
+	"runtime"
+	"testing"
+	"time"
+)
+
+// failingRun builds a 50-actor simulation that fails the named way and
+// runs it.  Every actor but a crashing one is parked when Run gives up:
+// blocked on a condition that never fires, between actions, or (on the
+// panic path) spawned but never started.  Their deferred calls panic or
+// block again while they unwind.
+func failingRun(t *testing.T, how string) {
+	t.Helper()
+	const actors = 50
+	k := NewKernel()
+	never := k.NewCond("never")
+	for i := 0; i < actors/2; i++ {
+		k.Spawn("waiter", func(a *Actor) {
+			defer func() { panic("a deferred call panicking while the run is released") }()
+			never.Wait(a)
+			t.Error("a waiter ran past its condition")
+		})
+	}
+	blockingDefer := func(a *Actor) { a.Sleep(1) }
+	switch how {
+	case "panic":
+		k.Spawn("crasher", func(a *Actor) {
+			a.Sleep(1)
+			for i := 0; i < actors/2-1; i++ {
+				k.Spawn("unstarted", func(a *Actor) {
+					defer blockingDefer(a)
+					t.Error("an actor started after the run failed")
+				})
+			}
+			panic("boom")
+		})
+	case "deadlock":
+		for i := 0; i < actors/2; i++ {
+			k.Spawn("late-waiter", func(a *Actor) {
+				defer blockingDefer(a)
+				a.Sleep(1)
+				never.Wait(a)
+				t.Error("a late waiter ran past its condition")
+			})
+		}
+	case "watchdog":
+		k.SetWatchdog(Watchdog{MaxSteps: 100})
+		for i := 0; i < actors/2; i++ {
+			k.Spawn("spinner", func(a *Actor) {
+				defer blockingDefer(a)
+				for {
+					a.Sleep(1)
+				}
+			})
+		}
+	}
+	if err := k.Run(); err == nil {
+		t.Fatalf("%s run returned nil error", how)
+	}
+	if len(k.actors) != actors {
+		t.Fatalf("%s: %d actors spawned, want %d", how, len(k.actors), actors)
+	}
+	for _, a := range k.actors {
+		if !a.done {
+			t.Fatalf("%s: actor %d %q not released", how, a.id, a.name)
+		}
+	}
+}
+
+// TestNoGoroutineLeaksAfterFailedRun asserts that Run releases every
+// parked actor goroutine when it fails, on each failure path: an actor
+// panic, a deadlock and a watchdog abort.  Each leaked goroutine would
+// pin its kernel and everything the actors reference.
+func TestNoGoroutineLeaksAfterFailedRun(t *testing.T) {
+	for _, how := range []string{"panic", "deadlock", "watchdog"} {
+		t.Run(how, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			for i := 0; i < 20; i++ {
+				failingRun(t, how)
+			}
+			// Give finished goroutines a moment to unwind.
+			deadline := time.Now().Add(2 * time.Second)
+			for time.Now().Before(deadline) {
+				if runtime.NumGoroutine() <= before+2 {
+					return
+				}
+				runtime.Gosched()
+				time.Sleep(10 * time.Millisecond)
+			}
+			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+		})
+	}
+}

@@ -1,6 +1,9 @@
 package vtime
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // actorState tracks what an actor is doing as a plain enum.  The wait-graph
 // diagnostic renders it to a string on demand; keeping the hot-path
@@ -76,11 +79,19 @@ func (a *Actor) statusString() string {
 }
 
 // yield blocks the actor and hands control back to the kernel.  The actor
-// resumes when the kernel marks it runnable again.
+// resumes when the kernel marks it runnable again, or unwinds through
+// runtime.Goexit when a failed Run releases it (also if a deferred call
+// blocks again while unwinding).
 func (a *Actor) yield() {
+	if a.k.aborting {
+		runtime.Goexit()
+	}
 	a.checkContext()
 	a.k.yielded <- struct{}{}
 	<-a.resume
+	if a.k.aborting {
+		runtime.Goexit()
+	}
 	a.state = stateRunning
 }
 

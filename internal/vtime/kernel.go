@@ -29,6 +29,7 @@ type Kernel struct {
 	yielded   chan struct{}
 	alive     int
 	running   bool
+	aborting  bool   // Run failed; parked actors are being released
 	current   *Actor // actor currently holding the execution slot
 	steps     uint64
 	completed uint64
@@ -141,9 +142,10 @@ func (k *Kernel) Spawn(name string, fn func(*Actor)) *Actor {
 	k.actors = append(k.actors, a)
 	k.alive++
 	go func() {
-		<-a.resume
 		defer func() {
-			if r := recover(); r != nil {
+			// Panics raised while a failed run releases its actors are
+			// ignored: Run has already chosen its error.
+			if r := recover(); r != nil && !k.aborting {
 				if k.failure == nil {
 					k.failure = fmt.Errorf("vtime: actor %d %q panicked: %v\n%s",
 						a.id, a.name, r, debug.Stack())
@@ -155,6 +157,10 @@ func (k *Kernel) Spawn(name string, fn func(*Actor)) *Actor {
 			k.alive--
 			k.yielded <- struct{}{}
 		}()
+		<-a.resume
+		if k.aborting {
+			return
+		}
 		fn(a)
 		a.state = stateDone
 	}()
@@ -165,13 +171,43 @@ func (k *Kernel) Spawn(name string, fn func(*Actor)) *Actor {
 // Run executes the simulation until every actor has finished.  It returns
 // an error describing the blocked actors if the simulation deadlocks.
 // Run must be called exactly once, from the goroutine that created the
-// kernel, and never from actor context.
+// kernel, and never from actor context.  When Run fails (an actor panic,
+// a deadlock, a watchdog budget), every actor still parked is released
+// before it returns, so no actor code runs afterwards and no goroutine
+// outlives the run.
 func (k *Kernel) Run() error {
 	if k.running {
 		panic("vtime: Kernel.Run called twice")
 	}
 	k.running = true
 	k.wallStart = nowFunc()
+	err := k.drain()
+	if err != nil {
+		k.abort()
+	}
+	return err
+}
+
+// abort releases every actor that has not finished: each is resumed
+// with the aborting flag set, unwinds through runtime.Goexit (running
+// its deferred calls) and hands control back on its exit.
+func (k *Kernel) abort() {
+	k.aborting = true
+	for i := 0; i < len(k.actors); i++ {
+		a := k.actors[i]
+		if a.done {
+			continue
+		}
+		k.current = a
+		a.resume <- struct{}{}
+		<-k.yielded
+	}
+	k.current = nil
+}
+
+// drain runs the scheduling loop until every actor has finished or the
+// run fails.
+func (k *Kernel) drain() error {
 	for {
 		// Phase 1: let every runnable actor run until it blocks.  The
 		// queue is drained by index so the backing array is reused across
@@ -188,8 +224,8 @@ func (k *Kernel) Run() error {
 			<-k.yielded
 			k.current = nil
 			if k.failure != nil {
-				// An actor panicked.  Remaining actors stay parked on
-				// their resume channels; the simulation is abandoned.
+				// An actor panicked: the simulation is abandoned and
+				// Run releases the remaining actors.
 				return k.failure
 			}
 		}
