@@ -155,6 +155,12 @@ func BenchmarkKernelSharedResource(b *testing.B) {
 	benchWorkload(b, "KernelSharedResource")
 }
 
+// BenchmarkKernelTurns measures the per-turn handoff cost: nearly every
+// scheduling instant wakes exactly one actor.
+func BenchmarkKernelTurns(b *testing.B) {
+	benchWorkload(b, "KernelTurns")
+}
+
 // BenchmarkMachineContention measures the fluid model under NUMA-domain
 // contention (16 streams on one domain).
 func BenchmarkMachineContention(b *testing.B) {

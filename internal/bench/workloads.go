@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/experiment"
@@ -29,7 +30,7 @@ type Workload struct {
 var contentionCost = work.Cost{Instr: 1e6, Flops: 1e6, Bytes: 1e6}
 
 // Workloads returns the substrate and study benchmarks in reporting
-// order.  The first five are the kernel-level micro-benchmarks whose
+// order.  The first six are the kernel-level micro-benchmarks whose
 // ns/op and allocs/op are the scoreboard for scheduler optimisations;
 // the study pair measures the end-to-end pipeline they multiply into.
 func Workloads() []Workload {
@@ -38,6 +39,11 @@ func Workloads() []Workload {
 			Name: "KernelSharedResource",
 			Desc: "16 actors x 100 contending actions through the vtime kernel",
 			Make: kernelSharedResource,
+		},
+		{
+			Name: "KernelTurns",
+			Desc: "16 actors x 200 Computes of distinct lengths: one wake per instant",
+			Make: kernelTurns,
 		},
 		{
 			Name: "MachineContention",
@@ -118,6 +124,27 @@ func kernelSharedResource() (*Instance, error) {
 				k.Spawn("s", func(ac *vtime.Actor) {
 					for j := 0; j < actions; j++ {
 						ac.Execute(vtime.Action{Work: 1, Res: bw, ResPerUnit: 1})
+					}
+				})
+			}
+			return k.Run()
+		},
+	}, nil
+}
+
+// kernelTurns isolates the per-turn handoff cost: every Compute has its
+// own length, so completions almost never coincide and nearly every
+// scheduling instant wakes exactly one actor for a thin turn.
+func kernelTurns() (*Instance, error) {
+	const actors, computes = 16, 200
+	return &Instance{
+		Events: actors * computes,
+		Op: func() error {
+			k := vtime.NewKernel()
+			for a := 0; a < actors; a++ {
+				k.Spawn("t", func(ac *vtime.Actor) {
+					for j := 0; j < computes; j++ {
+						ac.Compute(1e-6 * (1 + math.Sqrt(float64(a*computes+j+2))))
 					}
 				})
 			}

@@ -78,19 +78,25 @@ func (a *Actor) statusString() string {
 	return fmt.Sprintf("state(%d)", uint8(a.state))
 }
 
-// yield blocks the actor and hands control back to the kernel.  The actor
-// resumes when the kernel marks it runnable again, or unwinds through
-// runtime.Goexit when a failed Run releases it (also if a deferred call
-// blocks again while unwinding).
+// yield blocks the actor and gives up the execution slot.  The scheduler
+// runs right here, on this goroutine: if the actor is the next to run it
+// simply carries on, otherwise it resumes the next actor (or wakes Run
+// when the run is over) and parks.  The actor resumes when the kernel
+// marks it runnable again, or unwinds through runtime.Goexit when a
+// failed Run releases it (also if a deferred call blocks again while
+// unwinding).
 func (a *Actor) yield() {
-	if a.k.aborting {
+	k := a.k
+	if k.aborting {
 		runtime.Goexit()
 	}
 	a.checkContext()
-	a.k.yielded <- struct{}{}
-	<-a.resume
-	if a.k.aborting {
-		runtime.Goexit()
+	if next := k.schedule(); next != a {
+		k.pass(next)
+		<-a.resume
+		if k.aborting {
+			runtime.Goexit()
+		}
 	}
 	a.state = stateRunning
 }

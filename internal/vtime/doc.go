@@ -5,8 +5,10 @@
 // simulated thread of execution (for example, one OpenMP thread of one MPI
 // rank).  Although actors are goroutines, the kernel guarantees that at most
 // one of them runs at any real-time instant: an actor runs until it calls a
-// blocking primitive (Execute, Sleep, Cond.Wait, ...), at which point control
-// returns to the kernel.  All scheduling queues are strictly ordered, so a
+// blocking primitive (Execute, Sleep, Cond.Wait, ...), at which point the
+// kernel's scheduler, running on that same goroutine, advances virtual time
+// if needed and hands the execution slot to the next runnable actor.  All
+// scheduling queues are strictly ordered, so a
 // simulation is bit-for-bit reproducible regardless of GOMAXPROCS.
 //
 // Work is modelled as fluid actions.  An Action has an optional latency

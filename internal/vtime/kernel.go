@@ -26,16 +26,24 @@ type Kernel struct {
 	heap      finishHeap
 	runnable  []*Actor
 	runHead   int // index of the next runnable actor (avoids reslicing)
-	yielded   chan struct{}
 	alive     int
 	running   bool
 	aborting  bool   // Run failed; parked actors are being released
-	current   *Actor // actor currently holding the execution slot
+	current   *Actor // actor holding the execution slot; nil in kernel context
 	steps     uint64
 	completed uint64
-	failure   error
 	watchdog  Watchdog
 	wallStart time.Time
+
+	// yielded hands the execution slot back to Run's goroutine: once
+	// when the run ends, and once per actor abort releases.
+	yielded chan struct{}
+
+	// failure is why the run ended early (an actor panic, a deadlock, a
+	// watchdog budget); kernelPanic is the value of a panic raised in
+	// kernel context, which Run re-raises once every actor is released.
+	failure     error
+	kernelPanic any
 
 	// dirty is the set of resources whose membership or capacity changed
 	// since the last flush.  Each is settled, re-shared and re-keyed once
@@ -155,7 +163,11 @@ func (k *Kernel) Spawn(name string, fn func(*Actor)) *Actor {
 			}
 			a.done = true
 			k.alive--
-			k.yielded <- struct{}{}
+			if k.aborting {
+				k.yielded <- struct{}{}
+				return
+			}
+			k.pass(k.schedule())
 		}()
 		<-a.resume
 		if k.aborting {
@@ -172,20 +184,30 @@ func (k *Kernel) Spawn(name string, fn func(*Actor)) *Actor {
 // an error describing the blocked actors if the simulation deadlocks.
 // Run must be called exactly once, from the goroutine that created the
 // kernel, and never from actor context.  When Run fails (an actor panic,
-// a deadlock, a watchdog budget), every actor still parked is released
-// before it returns, so no actor code runs afterwards and no goroutine
-// outlives the run.
+// a deadlock, a watchdog budget, a panic in kernel context), every actor
+// still parked is released before it returns, so no actor code runs
+// afterwards and no goroutine outlives the run.  A kernel-context panic
+// is then re-raised from Run with its original value.
 func (k *Kernel) Run() error {
 	if k.running {
 		panic("vtime: Kernel.Run called twice")
 	}
 	k.running = true
 	k.wallStart = nowFunc()
-	err := k.drain()
-	if err != nil {
+	// The first turn starts here; from then on the scheduler runs on
+	// whichever goroutine gives up the slot, and the last one hands it
+	// back.
+	if next := k.schedule(); next != nil {
+		next.resume <- struct{}{}
+		<-k.yielded
+	}
+	if k.failure != nil || k.kernelPanic != nil {
 		k.abort()
 	}
-	return err
+	if k.kernelPanic != nil {
+		panic(k.kernelPanic)
+	}
+	return k.failure
 }
 
 // abort releases every actor that has not finished: each is resumed
@@ -205,71 +227,101 @@ func (k *Kernel) abort() {
 	k.current = nil
 }
 
-// drain runs the scheduling loop until every actor has finished or the
-// run fails.
-func (k *Kernel) drain() error {
+// schedule picks the actor that holds the execution slot next, on the
+// goroutine of whoever is giving it up.  Runnable actors take turns in
+// FIFO order; once the queue is empty, the kernel phase advances virtual
+// time on the current goroutine until a completion wakes an actor.  It
+// returns nil when the run is over: every actor finished, or the run
+// failed (see failure and kernelPanic).
+func (k *Kernel) schedule() *Actor {
+	k.current = nil
+	if k.failure != nil {
+		// An actor panicked: the simulation is abandoned and Run
+		// releases the remaining actors.
+		return nil
+	}
 	for {
-		// Phase 1: let every runnable actor run until it blocks.  The
-		// queue is drained by index so the backing array is reused across
-		// instants instead of being resliced away.
+		// The queue is drained by index so the backing array is reused
+		// across instants instead of being resliced away.
 		for k.runHead < len(k.runnable) {
 			a := k.runnable[k.runHead]
 			k.runnable[k.runHead] = nil
 			k.runHead++
-			if a.done {
-				continue
-			}
-			k.current = a
-			a.resume <- struct{}{}
-			<-k.yielded
-			k.current = nil
-			if k.failure != nil {
-				// An actor panicked: the simulation is abandoned and
-				// Run releases the remaining actors.
-				return k.failure
+			if !a.done {
+				k.current = a
+				return a
 			}
 		}
 		k.runnable = k.runnable[:0]
 		k.runHead = 0
-		// Resource changes made by the actors (attaches, capacity moves)
-		// are settled once here, so the heap's finish predictions are
-		// current before the next completion time is chosen.
-		k.flushDirty()
-		// Phase 2: advance virtual time to the next completion.
-		if k.heap.Len() == 0 {
-			if k.alive == 0 {
-				return nil
-			}
-			return k.deadlockError()
+		if !k.advance() {
+			return nil
 		}
-		k.steps++
-		k.metrics.Steps.Inc()
-		k.metrics.HeapSize.Set(int64(k.heap.Len()))
-		if err := k.checkWatchdog(); err != nil {
-			return err
+	}
+}
+
+// pass resumes next, or wakes Run's goroutine when the run is over (next
+// is nil).  The caller then parks or exits.
+func (k *Kernel) pass(next *Actor) {
+	if next == nil {
+		k.yielded <- struct{}{}
+		return
+	}
+	next.resume <- struct{}{}
+}
+
+// advance is the kernel phase: it settles the resource changes of the
+// turns just run, moves virtual time to the next completion and fires
+// everything due then.  It reports false when the run is over.  A panic
+// raised here (a Post callback, a fault injector) belongs to no actor,
+// even though it unwinds on an actor's goroutine, so it is recovered
+// here and left for Run to re-raise.
+func (k *Kernel) advance() (more bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			k.kernelPanic = r
+			more = false
 		}
-		t := k.heap.peek().finishAt
-		if t < k.now {
-			t = k.now // defensive: never move backwards
+	}()
+	// Resource changes made by the actors (attaches, capacity moves)
+	// are settled once here, so the heap's finish predictions are
+	// current before the next completion time is chosen.
+	k.flushDirty()
+	if k.heap.Len() == 0 {
+		if k.alive > 0 {
+			k.failure = k.deadlockError()
 		}
-		if max := k.watchdog.MaxVirtual; max > 0 && t > max {
-			return k.watchdogError(fmt.Sprintf("virtual-time budget %g s exceeded (next completion at t=%g)", max, t))
+		return false
+	}
+	k.steps++
+	k.metrics.Steps.Inc()
+	k.metrics.HeapSize.Set(int64(k.heap.Len()))
+	if err := k.checkWatchdog(); err != nil {
+		k.failure = err
+		return false
+	}
+	t := k.heap.peek().finishAt
+	if t < k.now {
+		t = k.now // defensive: never move backwards
+	}
+	if max := k.watchdog.MaxVirtual; max > 0 && t > max {
+		k.failure = k.watchdogError(fmt.Sprintf("virtual-time budget %g s exceeded (next completion at t=%g)", max, t))
+		return false
+	}
+	k.now = t
+	// Fire everything due at t, then flush the membership changes the
+	// completions made.  A flush at instant t can only key events
+	// strictly after t — except a member that already reached zero
+	// remaining work, which it keys at exactly t — so one more sweep
+	// of the due events after each flush keeps the instant complete.
+	for {
+		for k.heap.Len() > 0 && k.heap.peek().finishAt <= t {
+			act := k.heap.pop()
+			act.heapIndex = -1
+			k.fire(act)
 		}
-		k.now = t
-		// Fire everything due at t, then flush the membership changes the
-		// completions made.  A flush at instant t can only key events
-		// strictly after t — except a member that already reached zero
-		// remaining work, which it keys at exactly t — so one more sweep
-		// of the due events after each flush keeps the instant complete.
-		for {
-			for k.heap.Len() > 0 && k.heap.peek().finishAt <= t {
-				act := k.heap.pop()
-				act.heapIndex = -1
-				k.fire(act)
-			}
-			if !k.flushDirty() {
-				break
-			}
+		if !k.flushDirty() {
+			return true
 		}
 	}
 }

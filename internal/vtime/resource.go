@@ -1,6 +1,9 @@
 package vtime
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Resource is a shared, capacity-limited facility such as the memory
 // bandwidth of a NUMA domain or a network link.  Actions that name a
@@ -11,19 +14,17 @@ type Resource struct {
 	capacity float64 // units per virtual second
 
 	// members are the actions currently in their work phase on this
-	// resource, in submission order.  The order is load-bearing: the
-	// water-fill breaks need ties stably by it, and its floating-point
-	// allocations are bitwise sensitive to position, so removal must
-	// preserve it (see detach).
+	// resource, in ascending order of need, ties in submission order:
+	// exactly the permutation a stable sort by need of the submission
+	// order gives.  The order is load-bearing: the water-fill visits
+	// members in it, and its floating-point allocations are bitwise
+	// sensitive to position, so insertion and removal must preserve it
+	// (see attach and detach).
 	members []*Action
 
 	// dirty marks the resource as queued in the kernel's dirty set for
 	// the next coalesced resettle (see Kernel.markDirty).
 	dirty bool
-
-	// sorter is the reusable scratch for shareResource, so re-sharing a
-	// resource allocates nothing in steady state.
-	sorter needSorter
 }
 
 // NewResource registers a new shared resource with the kernel.  Capacity is
@@ -68,13 +69,26 @@ func (r *Resource) SetCapacity(c float64) {
 // Load returns the number of actions currently drawing on the resource.
 func (r *Resource) Load() int { return len(r.members) }
 
+// attach inserts a after every member whose need is at most its own, so
+// members stay in need order with ties in submission order.  Needs are
+// totally ordered because validate rejects NaN factors.
 func (r *Resource) attach(a *Action) {
-	a.resIndex = len(r.members)
+	a.need = math.Inf(1)
+	if a.RateCap != 0 {
+		a.need = a.RateCap * a.ResPerUnit
+	}
 	r.members = append(r.members, a)
+	i := len(r.members) - 1
+	for ; i > 0 && r.members[i-1].need > a.need; i-- {
+		r.members[i] = r.members[i-1]
+		r.members[i].resIndex = i
+	}
+	r.members[i] = a
+	a.resIndex = i
 }
 
 // detach removes a by its stored member index — no scan — while keeping
-// the remaining members in submission order.
+// the remaining members in order.
 func (r *Resource) detach(a *Action) {
 	i := a.resIndex
 	if i < 0 || i >= len(r.members) || r.members[i] != a {
