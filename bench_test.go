@@ -185,6 +185,12 @@ func BenchmarkTraceCheckTeaLeaf4(b *testing.B) {
 	benchWorkload(b, "TraceCheckTeaLeaf4")
 }
 
+// BenchmarkCacheRoundTrip measures a run-cache Put + Get of an analyzed
+// LULESH-1 entry: the cache I/O layer of every cached study.
+func BenchmarkCacheRoundTrip(b *testing.B) {
+	benchWorkload(b, "CacheRoundTrip")
+}
+
 // BenchmarkTraceRoundTrip measures binary trace serialisation.
 func BenchmarkTraceRoundTrip(b *testing.B) {
 	benchWorkload(b, "TraceRoundTrip")

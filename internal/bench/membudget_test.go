@@ -1,12 +1,16 @@
 package bench
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/experiment"
+	"repro/internal/noise"
 	"repro/internal/trace"
 )
 
@@ -189,5 +193,43 @@ func TestTraceCheckAllocBudget(t *testing.T) {
 		ins.Events, m.BytesPerOp, perEvent, m.AllocsPerOp)
 	if perEvent > bytesPerEventBudget {
 		t.Errorf("tracecheck.Verify allocates %.0f bytes/event, budget %d", perEvent, bytesPerEventBudget)
+	}
+}
+
+// TestWriteChunkedAllocBudget gates the encoder of materialized traces,
+// which every run-cache Put goes through.  WriteChunked encodes chunks
+// straight from each location's event slice; staging them in a fresh
+// per-location ChunkEvents buffer (128 KiB) instead costs ~230 bytes per
+// event on this trace's 256 mostly one-chunk locations.  What is left —
+// the encode and compression buffers, reused across chunks, and the
+// index — is a few bytes per event.
+func TestWriteChunkedAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates LULESH-1")
+	}
+	const bytesPerEventBudget = 32
+
+	spec, err := experiment.SpecByName("LULESH-1", experiment.Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := experiment.Run(spec, core.ModeLt1, 1, noise.Cluster(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := res.Trace.NumEvents()
+	ins := &Instance{
+		Events: int64(events),
+		Op:     func() error { return trace.WriteChunked(io.Discard, res.Trace) },
+	}
+	m, err := Measure("WriteChunkedLULESH1", ins, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perEvent := m.BytesPerOp / float64(events)
+	t.Logf("encode of %d events in %d locations: %.0f bytes/op (%.1f bytes/event), %.0f allocs/op",
+		events, len(res.Trace.Locs), m.BytesPerOp, perEvent, m.AllocsPerOp)
+	if perEvent > bytesPerEventBudget {
+		t.Errorf("trace.WriteChunked allocates %.1f bytes/event, budget %d", perEvent, bytesPerEventBudget)
 	}
 }

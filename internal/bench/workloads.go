@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/machine"
 	"repro/internal/noise"
+	"repro/internal/runcache"
 	"repro/internal/scalasca"
 	"repro/internal/trace"
 	"repro/internal/tracecheck"
@@ -69,6 +71,11 @@ func Workloads() []Workload {
 			Name: "TraceCheckTeaLeaf4",
 			Desc: "tracecheck.Verify of a TeaLeaf-4 quick lt_stmt trace (128-rank collectives)",
 			Make: traceCheckTeaLeaf4,
+		},
+		{
+			Name: "CacheRoundTrip",
+			Desc: "run-cache Put + Get of an analyzed LULESH-1 quick lt_1 entry in a temp dir",
+			Make: cacheRoundTrip,
 		},
 		{
 			Name: "TracePipeRecord",
@@ -251,6 +258,52 @@ func traceRoundTrip() (*Instance, error) {
 			}
 			_, err := trace.Read(&buf)
 			return err
+		},
+	}, nil
+}
+
+// cacheRoundTrip stores and reloads one analyzed run the way a cached
+// study does: chunked trace encode + binary profile on Put, and on Get
+// the presized trace decode and profile decode.  Each op uses a fresh
+// directory so the file system sees a new entry, as a study would.
+func cacheRoundTrip() (*Instance, error) {
+	spec, err := experiment.SpecByName("LULESH-1", experiment.Options{Quick: true})
+	if err != nil {
+		return nil, err
+	}
+	res, err := experiment.Run(spec, core.ModeLt1, 1, noise.Cluster(), true)
+	if err != nil {
+		return nil, err
+	}
+	key := runcache.Key{Spec: spec.Name, Mode: string(res.Mode), Seed: 1, Analyze: true, Version: "bench"}
+	entry := &runcache.Entry{
+		Mode: string(res.Mode), Wall: res.Wall, Phases: res.Phases,
+		Checks: res.Checks, FoM: res.FoM, Trace: res.Trace, Profile: res.Profile,
+	}
+	events := res.Trace.NumEvents()
+	return &Instance{
+		Events: int64(events),
+		Op: func() error {
+			dir, err := os.MkdirTemp("", "ltbench-cache-")
+			if err != nil {
+				return err
+			}
+			defer os.RemoveAll(dir)
+			c, err := runcache.Open(dir)
+			if err != nil {
+				return err
+			}
+			if err := c.Put(key, entry); err != nil {
+				return err
+			}
+			got, ok := c.Get(key)
+			if !ok {
+				return fmt.Errorf("cache round trip: miss after Put")
+			}
+			if n := got.Trace.NumEvents(); n != events || got.Profile == nil {
+				return fmt.Errorf("cache round trip: got %d events (want %d), profile %v", n, events, got.Profile != nil)
+			}
+			return nil
 		},
 	}, nil
 }

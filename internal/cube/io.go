@@ -43,10 +43,9 @@ func (p *Profile) Write(w io.Writer) error {
 		out.Paths = append(out.Paths, pathJSON{Name: c.Name, Parent: int32(c.Parent)})
 	}
 	// Deterministic order: metric id, then path id.
-	for m := 0; m < len(p.Metrics); m++ {
-		byPath := p.sev[MetricID(m)]
-		for path := 0; path < len(p.Paths); path++ {
-			if vals, ok := byPath[PathID(path)]; ok {
+	for m, row := range p.sev {
+		for path, vals := range row {
+			if vals != nil {
 				out.Sev = append(out.Sev, sevJSON{Metric: int32(m), Path: int32(path), Vals: vals})
 			}
 		}
@@ -63,24 +62,58 @@ func Read(r io.Reader) (*Profile, error) {
 	}
 	p := New(in.Clock, in.LocNames)
 	for _, m := range in.Metrics {
-		p.Metrics = append(p.Metrics, Metric{Name: m.Name, Desc: m.Desc, Parent: MetricID(m.Parent)})
-		p.metricByName[m.Name] = MetricID(len(p.Metrics) - 1)
+		if err := p.defineMetric(Metric{Name: m.Name, Desc: m.Desc, Parent: MetricID(m.Parent)}); err != nil {
+			return nil, err
+		}
 	}
 	for _, c := range in.Paths {
-		id := PathID(len(p.Paths))
-		p.Paths = append(p.Paths, CallPath{Name: c.Name, Parent: PathID(c.Parent)})
-		p.pathByKey[pathKey{PathID(c.Parent), c.Name}] = id
+		if err := p.definePath(CallPath{Name: c.Name, Parent: PathID(c.Parent)}); err != nil {
+			return nil, err
+		}
 	}
 	for _, s := range in.Sev {
-		if int(s.Metric) >= len(p.Metrics) || int(s.Path) >= len(p.Paths) {
+		if s.Metric < 0 || int(s.Metric) >= len(p.Metrics) || s.Path < 0 || int(s.Path) >= len(p.Paths) {
 			return nil, fmt.Errorf("cube: severity references unknown metric/path")
 		}
+		if len(s.Vals) > p.NumLocs() {
+			return nil, fmt.Errorf("cube: severity has %d values for %d locations", len(s.Vals), p.NumLocs())
+		}
+		// Set the cell directly rather than through Add, which skips
+		// zeros: a cell whose values cancelled to zero is still present.
+		// A repeated record accumulates, as it always has.
+		row := p.sev[s.Metric]
+		if int(s.Path) >= len(row) || row[s.Path] == nil {
+			copy(p.cell(MetricID(s.Metric), PathID(s.Path)), s.Vals)
+			continue
+		}
 		for l, v := range s.Vals {
-			if l >= p.NumLocs() {
-				return nil, fmt.Errorf("cube: severity has %d values for %d locations", len(s.Vals), p.NumLocs())
-			}
-			p.Add(MetricID(s.Metric), PathID(s.Path), l, v)
+			row[s.Path][l] += v
 		}
 	}
 	return p, nil
+}
+
+// defineMetric appends a decoded metric.  Its parent must precede it,
+// as AddMetric guarantees, so the metric tree has no cycles.
+func (p *Profile) defineMetric(m Metric) error {
+	id := MetricID(len(p.Metrics))
+	if m.Parent < NoParent || m.Parent >= id {
+		return fmt.Errorf("cube: metric %d has parent %d", id, m.Parent)
+	}
+	p.Metrics = append(p.Metrics, m)
+	p.sev = append(p.sev, nil)
+	p.metricByName[m.Name] = id
+	return nil
+}
+
+// definePath appends a decoded call path.  Its parent must precede it,
+// as Path guarantees, so PathString terminates.
+func (p *Profile) definePath(c CallPath) error {
+	id := PathID(len(p.Paths))
+	if c.Parent < NoParent || c.Parent >= id {
+		return fmt.Errorf("cube: call path %d has parent %d", id, c.Parent)
+	}
+	p.Paths = append(p.Paths, c)
+	p.pathByKey[pathKey{c.Parent, c.Name}] = id
+	return nil
 }

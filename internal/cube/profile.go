@@ -39,6 +39,9 @@ type CallPath struct {
 // Stored values are exclusive along the call-path dimension; along the
 // metric dimension each metric holds its own total (child metrics refine,
 // they are not subtracted).
+//
+// Metrics grow only through AddMetric (and the decoders), which keeps
+// the severity table in step with them.
 type Profile struct {
 	Clock    string
 	Metrics  []Metric
@@ -47,7 +50,13 @@ type Profile struct {
 
 	metricByName map[string]MetricID
 	pathByKey    map[pathKey]PathID
-	sev          map[MetricID]map[PathID][]float64
+	// sev holds the severities densely, indexed [metric][path]: a cell is
+	// nil when absent and has one value per location when present.  A
+	// metric's row is nil until it has a cell and then ends at its
+	// highest present path, so the layout depends only on which cells
+	// are present, never on the order they were filled in, and
+	// iteration is in id order.
+	sev [][][]float64
 }
 
 type pathKey struct {
@@ -62,7 +71,6 @@ func New(clock string, locNames []string) *Profile {
 		LocNames:     append([]string(nil), locNames...),
 		metricByName: make(map[string]MetricID),
 		pathByKey:    make(map[pathKey]PathID),
-		sev:          make(map[MetricID]map[PathID][]float64),
 	}
 }
 
@@ -77,6 +85,7 @@ func (p *Profile) AddMetric(name, desc string, parent MetricID) MetricID {
 	}
 	id := MetricID(len(p.Metrics))
 	p.Metrics = append(p.Metrics, Metric{Name: name, Desc: desc, Parent: parent})
+	p.sev = append(p.sev, nil)
 	p.metricByName[name] = id
 	return id
 }
@@ -120,23 +129,37 @@ func (p *Profile) Add(m MetricID, path PathID, loc int, v float64) {
 	if v == 0 {
 		return
 	}
-	byPath := p.sev[m]
-	if byPath == nil {
-		byPath = make(map[PathID][]float64)
-		p.sev[m] = byPath
+	p.cell(m, path)[loc] += v
+}
+
+// cell returns the values of (metric, path), creating the cell (and the
+// metric's row) with zeros if it is absent.
+func (p *Profile) cell(m MetricID, path PathID) []float64 {
+	row := p.sev[m]
+	if int(path) >= len(row) {
+		if int(path) >= cap(row) {
+			// Room for every path interned so far, so a row first
+			// touched once the call tree is known is sized once.
+			grown := make([][]float64, len(row), max(len(p.Paths), 2*cap(row)))
+			copy(grown, row)
+			row = grown
+		}
+		// Slots past len were never written: rows only grow.
+		row = row[:path+1]
+		p.sev[m] = row
 	}
-	vals := byPath[path]
+	vals := row[path]
 	if vals == nil {
 		vals = make([]float64, len(p.LocNames))
-		byPath[path] = vals
+		row[path] = vals
 	}
-	vals[loc] += v
+	return vals
 }
 
 // Value returns the exclusive severity at (metric, path, location).
 func (p *Profile) Value(m MetricID, path PathID, loc int) float64 {
-	if byPath := p.sev[m]; byPath != nil {
-		if vals := byPath[path]; vals != nil {
+	if row := p.sev[m]; int(path) < len(row) {
+		if vals := row[path]; vals != nil {
 			return vals[loc]
 		}
 	}
@@ -173,7 +196,7 @@ func (p *Profile) ByPath(m MetricID) map[PathID]float64 {
 			s += v
 		}
 		if s != 0 {
-			out[path] = s
+			out[PathID(path)] = s
 		}
 	}
 	return out
@@ -194,8 +217,8 @@ func (p *Profile) Inclusive(m MetricID, path PathID) float64 {
 
 func (p *Profile) exclusiveAll(m MetricID, path PathID) float64 {
 	var s float64
-	if byPath := p.sev[m]; byPath != nil {
-		for _, v := range byPath[path] {
+	if row := p.sev[m]; int(path) < len(row) {
+		for _, v := range row[path] {
 			s += v
 		}
 	}
@@ -257,15 +280,15 @@ func (p *Profile) MCMap() map[string]float64 {
 	if t == 0 {
 		return out
 	}
-	for m, byPath := range p.sev {
+	for m, row := range p.sev {
 		mname := p.Metrics[m].Name
-		for path, vals := range byPath {
+		for path, vals := range row {
 			var s float64
 			for _, v := range vals {
 				s += v
 			}
 			if s != 0 {
-				out[mname+"|"+p.PathString(path)] += 100 * s / t
+				out[mname+"|"+p.PathString(PathID(path))] += 100 * s / t
 			}
 		}
 	}
@@ -296,14 +319,12 @@ func Mean(profiles []*Profile) *Profile {
 		}
 		out.AddMetric(m.Name, m.Desc, parent)
 	}
-	// Iterate metrics and paths in slice (declaration) order, NOT over
-	// the sev maps: map-range order here would intern the output's Paths
-	// in a different order on every run, making the merged profile's
-	// serialised bytes nondeterministic.
 	for _, pr := range profiles {
-		for m := range pr.Metrics {
-			byPath := pr.sev[MetricID(m)]
-			if byPath == nil {
+		// outIDs[path] is 1 + out's id for pr's path, interned (by full
+		// path string) the first time one of its cells is merged.
+		outIDs := make([]PathID, len(pr.Paths))
+		for m, row := range pr.sev {
+			if row == nil {
 				continue
 			}
 			name := pr.Metrics[m].Name
@@ -311,12 +332,14 @@ func Mean(profiles []*Profile) *Profile {
 			if !ok {
 				outM = out.AddMetric(name, pr.Metrics[m].Desc, NoParent)
 			}
-			for path := range pr.Paths {
-				vals, ok := byPath[PathID(path)]
-				if !ok {
+			for path, vals := range row {
+				if vals == nil {
 					continue
 				}
-				outPath := out.internPathString(pr.PathString(PathID(path)))
+				if outIDs[path] == 0 {
+					outIDs[path] = 1 + out.internPathString(pr.PathString(PathID(path)))
+				}
+				outPath := outIDs[path] - 1
 				for l, v := range vals {
 					if v != 0 && l < out.NumLocs() {
 						out.Add(outM, outPath, l, v/n)

@@ -28,6 +28,9 @@ func (p *Profile) Imbalance(metric string, minMean float64) []ImbalanceStat {
 	}
 	var out []ImbalanceStat
 	for path, vals := range p.sev[id] {
+		if vals == nil {
+			continue
+		}
 		var sum, max float64
 		for _, v := range vals {
 			sum += v
@@ -40,7 +43,7 @@ func (p *Profile) Imbalance(metric string, minMean float64) []ImbalanceStat {
 			continue
 		}
 		out = append(out, ImbalanceStat{
-			Path:  p.PathString(path),
+			Path:  p.PathString(PathID(path)),
 			Mean:  mean,
 			Max:   max,
 			Ratio: max / mean,
@@ -67,16 +70,13 @@ func (p *Profile) WriteCSV(w io.Writer, metric string) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	// Deterministic row order: by path id.
-	paths := make([]PathID, 0, len(p.sev[id]))
-	for path := range p.sev[id] {
-		paths = append(paths, path)
-	}
-	sort.Slice(paths, func(i, j int) bool { return paths[i] < paths[j] })
-	for _, path := range paths {
+	for path, vals := range p.sev[id] {
+		if vals == nil {
+			continue
+		}
 		row := make([]string, 1+p.NumLocs())
-		row[0] = p.PathString(path)
-		for l, v := range p.sev[id][path] {
+		row[0] = p.PathString(PathID(path))
+		for l, v := range vals {
 			row[1+l] = strconv.FormatFloat(v, 'g', -1, 64)
 		}
 		if err := cw.Write(row); err != nil {

@@ -3,11 +3,12 @@
 // of one job is a pure function of (spec identity, mode, seed, noise
 // parameters, fault plan, measurement config, code version) — so results
 // can be stored under a stable hash of exactly those inputs and reused
-// across `ltreport`/`ltverify`/`ltscale` invocations.  Entries reuse the
-// repository's canonical encoders: the event trace is stored in the LTRC
-// binary format (internal/trace) and the analysis profile as the cube
-// JSON (internal/cube), so a cached result decodes deep-equal to a fresh
-// run (asserted by tests in internal/experiment).
+// across `ltreport`/`ltverify`/`ltscale` invocations.  Entries store the
+// event trace in the chunked LTRC binary format (internal/trace) and the
+// analysis profile in cube's compact binary encoding (cube.AppendBinary;
+// cube JSON stays the user-facing profile format), so a cached result
+// decodes deep-equal to a fresh run (asserted by tests in
+// internal/experiment).
 //
 // The cache is safe for concurrent use by the pool's workers: writes go
 // to a temporary file and are renamed into place, and two racing writers
@@ -17,7 +18,6 @@
 package runcache
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -132,13 +132,12 @@ func (c *Cache) path(hash string) string {
 // Get looks a key up.  ok is false on a miss, including every flavour of
 // unreadable entry (absent, truncated, corrupt, wrong format version).
 func (c *Cache) Get(key Key) (e *Entry, ok bool) {
-	f, err := os.Open(c.path(key.Hash()))
+	b, err := os.ReadFile(c.path(key.Hash()))
 	if err != nil {
 		c.misses.Add(1)
 		return nil, false
 	}
-	defer f.Close()
-	e, err = decodeEntry(bufio.NewReader(f))
+	e, err = decodeEntry(b)
 	if err != nil {
 		c.misses.Add(1)
 		return nil, false
@@ -152,10 +151,6 @@ func (c *Cache) Get(key Key) (e *Entry, ok bool) {
 // a reader never observes a half-written entry and concurrent writers
 // of the same key are harmless.
 func (c *Cache) Put(key Key, e *Entry) error {
-	var buf bytes.Buffer
-	if err := encodeEntry(&buf, e); err != nil {
-		return fmt.Errorf("runcache: encoding entry: %w", err)
-	}
 	path := c.path(key.Hash())
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("runcache: %w", err)
@@ -164,10 +159,10 @@ func (c *Cache) Put(key Key, e *Entry) error {
 	if err != nil {
 		return fmt.Errorf("runcache: %w", err)
 	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	if err := encodeEntry(tmp, e); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("runcache: %w", err)
+		return fmt.Errorf("runcache: writing entry: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
@@ -193,43 +188,37 @@ func (c *Cache) Put(key Key, e *Entry) error {
 //	flags byte (bit 0: trace present, bit 1: profile present)
 //	if trace:   uvarint byte length + LTRC stream (chunked version-2
 //	  format, trace.WriteChunked; trace.Read handles both versions)
-//	if profile: uvarint byte length + cube JSON (cube/Profile.Write)
+//	if profile: uvarint byte length + binary profile (cube.AppendBinary)
 //
 // Version history: 2 added the applied-fault log; 3 switched the trace
-// blob to the chunked compressed format.  Older entries decode as a
-// miss (by design: a pre-log binary cannot know what fired, and the
-// version bump keeps cache files self-describing across the format
-// change).
+// blob to the chunked compressed format; 4 replaced the profile's cube
+// JSON with cube's binary encoding.  Older entries decode as a miss (by
+// design: a pre-log binary cannot know what fired, and the version bump
+// keeps cache files self-describing across each format change).
 const (
 	entryMagic   = "LTRR"
-	entryVersion = 3
+	entryVersion = 4
 )
 
 // Sanity caps, mirroring internal/trace's reader hardening: a corrupted
 // count must fail (→ miss) instead of allocating gigabytes.
 const (
-	maxPhases    = 1 << 16
-	maxChecks    = 1 << 24
-	maxApplied   = 1 << 24
-	maxBlobBytes = 1 << 30
+	maxPhases  = 1 << 16
+	maxChecks  = 1 << 24
+	maxApplied = 1 << 24
 )
 
-func encodeEntry(w *bytes.Buffer, e *Entry) error {
-	w.WriteString(entryMagic)
-	var vb [binary.MaxVarintLen64]byte
-	putU := func(v uint64) {
-		n := binary.PutUvarint(vb[:], v)
-		w.Write(vb[:n])
-	}
+// encodeEntry writes e's image to w: the fixed fields, then each blob
+// after its length, with no copy of either blob into a joint buffer.
+func encodeEntry(out io.Writer, e *Entry) error {
+	w := []byte(entryMagic)
+	putU := func(v uint64) { w = binary.AppendUvarint(w, v) }
+	putI := func(v int64) { w = binary.AppendVarint(w, v) }
 	putS := func(s string) {
 		putU(uint64(len(s)))
-		w.WriteString(s)
+		w = append(w, s...)
 	}
-	putF := func(f float64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-		w.Write(b[:])
-	}
+	putF := func(f float64) { w = binary.LittleEndian.AppendUint64(w, math.Float64bits(f)) }
 	putU(entryVersion)
 	putS(e.Mode)
 	putF(e.Wall)
@@ -248,10 +237,6 @@ func encodeEntry(w *bytes.Buffer, e *Entry) error {
 	for _, v := range e.Checks {
 		putF(v)
 	}
-	putI := func(v int64) {
-		n := binary.PutVarint(vb[:], v)
-		w.Write(vb[:n])
-	}
 	putU(uint64(len(e.Applied)))
 	for _, a := range e.Applied {
 		putS(a.Kind)
@@ -268,174 +253,163 @@ func encodeEntry(w *bytes.Buffer, e *Entry) error {
 	if e.Profile != nil {
 		flags |= 2
 	}
-	w.WriteByte(flags)
-	blob := func(write func(io.Writer) error) error {
-		var b bytes.Buffer
-		if err := write(&b); err != nil {
-			return err
-		}
-		putU(uint64(b.Len()))
-		w.Write(b.Bytes())
-		return nil
-	}
+	w = append(w, flags)
+	var tb bytes.Buffer
 	if e.Trace != nil {
-		if err := blob(func(w io.Writer) error { return trace.WriteChunked(w, e.Trace) }); err != nil {
+		if err := trace.WriteChunked(&tb, e.Trace); err != nil {
 			return err
 		}
+		w = binary.AppendUvarint(w, uint64(tb.Len()))
 	}
+	parts := [][]byte{w, tb.Bytes()}
 	if e.Profile != nil {
-		if err := blob(e.Profile.Write); err != nil {
+		prof := e.Profile.AppendBinary(nil)
+		parts = append(parts, binary.AppendUvarint(nil, uint64(len(prof))), prof)
+	}
+	for _, p := range parts {
+		if len(p) == 0 {
+			continue
+		}
+		if _, err := out.Write(p); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func decodeEntry(r *bufio.Reader) (*Entry, error) {
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, err
+// entryDecoder consumes an entry image; the first failure sticks in err
+// and every later read returns zero.
+type entryDecoder struct {
+	b   []byte
+	err error
+}
+
+func (d *entryDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("runcache: "+format, args...)
 	}
-	if string(head) != entryMagic {
-		return nil, fmt.Errorf("runcache: bad magic %q", head)
+}
+
+func (d *entryDecoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
 	}
-	getU := func() (uint64, error) { return binary.ReadUvarint(r) }
-	getS := func() (string, error) {
-		n, err := getU()
-		if err != nil {
-			return "", err
-		}
-		if n > maxBlobBytes {
-			return "", fmt.Errorf("runcache: implausible string length %d", n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.fail("truncated or bad varint")
+		return 0
 	}
-	getF := func() (float64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return 0, err
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *entryDecoder) varint() int64 {
+	if d.err != nil {
+		return 0
 	}
-	ver, err := getU()
-	if err != nil {
-		return nil, err
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.fail("truncated or bad varint")
+		return 0
 	}
-	if ver != entryVersion {
+	d.b = d.b[n:]
+	return v
+}
+
+// bytes returns the next n bytes without copying.
+func (d *entryDecoder) bytes(n uint64) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(len(d.b)) {
+		d.fail("truncated: %d bytes wanted, %d left", n, len(d.b))
+		return nil
+	}
+	b := d.b[:n:n]
+	d.b = d.b[n:]
+	return b
+}
+
+func (d *entryDecoder) str() string { return string(d.bytes(d.uvarint())) }
+
+func (d *entryDecoder) f64() float64 {
+	b := d.bytes(8)
+	if b == nil {
+		return 0
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+}
+
+// count reads an entry count, failing if it exceeds max or could not be
+// encoded in the bytes left at minBytes per entry.
+func (d *entryDecoder) count(what string, max uint64, minBytes int) int {
+	n := d.uvarint()
+	if d.err == nil && (n > max || n > uint64(len(d.b)/minBytes)) {
+		d.fail("implausible %s count %d", what, n)
+		return 0
+	}
+	return int(n)
+}
+
+// decodeEntry parses an entry image.  Sections are decoded in place
+// from b; nothing is allocated beyond what b's length can describe.
+func decodeEntry(b []byte) (*Entry, error) {
+	if len(b) < len(entryMagic) || string(b[:len(entryMagic)]) != entryMagic {
+		return nil, fmt.Errorf("runcache: bad magic")
+	}
+	d := &entryDecoder{b: b[len(entryMagic):]}
+	if ver := d.uvarint(); d.err == nil && ver != entryVersion {
 		return nil, fmt.Errorf("runcache: unsupported entry version %d", ver)
 	}
-	e := &Entry{}
-	if e.Mode, err = getS(); err != nil {
-		return nil, err
-	}
-	if e.Wall, err = getF(); err != nil {
-		return nil, err
-	}
-	if e.FoM, err = getF(); err != nil {
-		return nil, err
-	}
-	nphase, err := getU()
-	if err != nil {
-		return nil, err
-	}
-	if nphase > maxPhases {
-		return nil, fmt.Errorf("runcache: implausible phase count %d", nphase)
-	}
+	e := &Entry{Mode: d.str(), Wall: d.f64(), FoM: d.f64()}
+	nphase := d.count("phase", maxPhases, 9)
 	e.Phases = make(map[string]float64, nphase)
-	for i := uint64(0); i < nphase; i++ {
-		name, err := getS()
-		if err != nil {
-			return nil, err
-		}
-		if e.Phases[name], err = getF(); err != nil {
-			return nil, err
-		}
+	for i := 0; i < nphase && d.err == nil; i++ {
+		name := d.str()
+		e.Phases[name] = d.f64()
 	}
-	ncheck, err := getU()
-	if err != nil {
-		return nil, err
-	}
-	if ncheck > maxChecks {
-		return nil, fmt.Errorf("runcache: implausible check count %d", ncheck)
-	}
+	ncheck := d.count("check", maxChecks, 8)
 	e.Checks = make([]float64, ncheck)
 	for i := range e.Checks {
-		if e.Checks[i], err = getF(); err != nil {
-			return nil, err
-		}
+		e.Checks[i] = d.f64()
 	}
-	getI := func() (int64, error) { return binary.ReadVarint(r) }
-	napplied, err := getU()
-	if err != nil {
-		return nil, err
-	}
-	if napplied > maxApplied {
-		return nil, fmt.Errorf("runcache: implausible applied-fault count %d", napplied)
-	}
-	if napplied > 0 {
+	if napplied := d.count("applied-fault", maxApplied, 20); napplied > 0 {
 		e.Applied = make([]AppliedFault, napplied)
 		for i := range e.Applied {
 			a := &e.Applied[i]
-			if a.Kind, err = getS(); err != nil {
-				return nil, err
-			}
-			var v int64
-			if v, err = getI(); err != nil {
-				return nil, err
-			}
-			a.Rank = int(v)
-			if v, err = getI(); err != nil {
-				return nil, err
-			}
-			a.Core = int(v)
-			if a.Resource, err = getS(); err != nil {
-				return nil, err
-			}
-			if a.At, err = getF(); err != nil {
-				return nil, err
-			}
-			if a.Magnitude, err = getF(); err != nil {
-				return nil, err
-			}
+			a.Kind = d.str()
+			a.Rank = int(d.varint())
+			a.Core = int(d.varint())
+			a.Resource = d.str()
+			a.At = d.f64()
+			a.Magnitude = d.f64()
 		}
 	}
-	flags, err := r.ReadByte()
-	if err != nil {
-		return nil, err
+	var flags byte
+	if fb := d.bytes(1); fb != nil {
+		flags = fb[0]
 	}
-	blob := func() ([]byte, error) {
-		n, err := getU()
-		if err != nil {
-			return nil, err
-		}
-		if n > maxBlobBytes {
-			return nil, fmt.Errorf("runcache: implausible blob length %d", n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		return b, nil
-	}
+	var tb, pb []byte
 	if flags&1 != 0 {
-		b, err := blob()
-		if err != nil {
-			return nil, err
-		}
-		if e.Trace, err = trace.Read(bytes.NewReader(b)); err != nil {
+		tb = d.bytes(d.uvarint())
+	}
+	if flags&2 != 0 {
+		pb = d.bytes(d.uvarint())
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	if len(d.b) != 0 {
+		return nil, fmt.Errorf("runcache: %d trailing bytes", len(d.b))
+	}
+	var err error
+	if flags&1 != 0 {
+		if e.Trace, err = trace.ReadBytes(tb); err != nil {
 			return nil, err
 		}
 	}
 	if flags&2 != 0 {
-		b, err := blob()
-		if err != nil {
-			return nil, err
-		}
-		if e.Profile, err = cube.Read(bytes.NewReader(b)); err != nil {
+		if e.Profile, err = cube.ReadBinary(pb); err != nil {
 			return nil, err
 		}
 	}

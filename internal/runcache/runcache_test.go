@@ -35,6 +35,10 @@ func sampleEntry() *Entry {
 	path := p.Path(cube.NoParent, "main")
 	p.Add(m, path, 0, 1.5)
 	p.Add(m, path, 1, 2.5)
+	// A cell whose values cancel is present with zeros; entries keep it.
+	halo := p.Path(path, "halo")
+	p.Add(m, halo, 1, 0.75)
+	p.Add(m, halo, 1, -0.75)
 	return &Entry{
 		Mode:    "lt_stmt",
 		Wall:    0.125,

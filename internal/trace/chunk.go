@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 // Chunked trace format (version 2).  Unlike the monolithic version-1
@@ -106,7 +107,7 @@ type ChunkWriter struct {
 
 	index []ChunkInfo
 
-	raw  bytes.Buffer // reusable delta-encode buffer
+	raw  []byte       // reusable delta-encode buffer
 	comp bytes.Buffer // reusable compression buffer
 	fw   *flate.Writer
 	varb [binary.MaxVarintLen64]byte
@@ -206,9 +207,9 @@ func (cw *ChunkWriter) Record(l int, e Event) {
 		loc.events = make([]Event, 0, n)
 	}
 	loc.events = append(loc.events, e)
-	loc.total++
 	if len(loc.events) >= cap(loc.events) {
-		cw.flushLoc(l)
+		cw.writeChunk(l, loc.events)
+		loc.events = loc.events[:0]
 	}
 }
 
@@ -235,45 +236,34 @@ func (cw *ChunkWriter) flushDefs() {
 	cw.sentLocs = len(cw.locs)
 }
 
-// flushLoc spills location l's buffered events as one chunk record.
-func (cw *ChunkWriter) flushLoc(l int) {
-	loc := &cw.locs[l]
-	if len(loc.events) == 0 {
+// writeChunk encodes events as one chunk record of location l.  Record
+// passes its staging buffer; WriteChunked passes windows of the trace's
+// own event slices, so a materialized trace is encoded without a copy.
+func (cw *ChunkWriter) writeChunk(l int, events []Event) {
+	if len(events) == 0 {
 		return
 	}
 	cw.flushDefs()
 
-	cw.raw.Reset()
+	raw := cw.raw[:0]
 	prev := uint64(0)
-	for _, e := range loc.events {
-		cw.raw.WriteByte(byte(e.Kind))
-		n := binary.PutUvarint(cw.varb[:], e.Time-prev)
-		cw.raw.Write(cw.varb[:n])
+	for _, e := range events {
+		raw = append(raw, byte(e.Kind))
+		raw = binary.AppendUvarint(raw, e.Time-prev)
 		prev = e.Time
-		n = binary.PutUvarint(cw.varb[:], uint64(e.Region))
-		cw.raw.Write(cw.varb[:n])
-		n = binary.PutVarint(cw.varb[:], int64(e.A))
-		cw.raw.Write(cw.varb[:n])
-		n = binary.PutVarint(cw.varb[:], int64(e.B))
-		cw.raw.Write(cw.varb[:n])
-		n = binary.PutVarint(cw.varb[:], e.C)
-		cw.raw.Write(cw.varb[:n])
+		raw = binary.AppendUvarint(raw, uint64(e.Region))
+		raw = binary.AppendVarint(raw, int64(e.A))
+		raw = binary.AppendVarint(raw, int64(e.B))
+		raw = binary.AppendVarint(raw, e.C)
 	}
+	cw.raw = raw
 
 	cw.comp.Reset()
 	if cw.fw == nil {
-		fw, err := flate.NewWriter(&cw.comp, flate.BestSpeed)
-		if err != nil {
-			if cw.err == nil {
-				cw.err = err
-			}
-			return
-		}
-		cw.fw = fw
-	} else {
-		cw.fw.Reset(&cw.comp)
+		cw.fw = flateWriters.Get().(*flate.Writer)
 	}
-	if _, err := cw.fw.Write(cw.raw.Bytes()); err != nil {
+	cw.fw.Reset(&cw.comp)
+	if _, err := cw.fw.Write(raw); err != nil {
 		if cw.err == nil {
 			cw.err = err
 		}
@@ -289,10 +279,10 @@ func (cw *ChunkWriter) flushLoc(l int) {
 	info := ChunkInfo{
 		Offset:    cw.off,
 		Loc:       l,
-		Events:    len(loc.events),
-		FirstTime: loc.events[0].Time,
-		LastTime:  loc.events[len(loc.events)-1].Time,
-		RawLen:    cw.raw.Len(),
+		Events:    len(events),
+		FirstTime: events[0].Time,
+		LastTime:  events[len(events)-1].Time,
+		RawLen:    len(raw),
 		CompLen:   cw.comp.Len(),
 	}
 	cw.writeByte(tagChunk)
@@ -307,11 +297,22 @@ func (cw *ChunkWriter) flushLoc(l int) {
 	cw.write(crcb[:])
 	cw.write(cw.comp.Bytes())
 	cw.index = append(cw.index, info)
-	loc.events = loc.events[:0]
+	cw.locs[l].total += len(events)
 	if cw.AutoFlush && cw.err == nil {
 		cw.err = cw.bw.Flush()
 	}
 }
+
+// flateWriters recycles chunk compressors between writers: a flate
+// writer carries over a megabyte of tables, several times a typical
+// cached trace.  Reset makes a recycled writer equivalent to a new one.
+var flateWriters = sync.Pool{New: func() any {
+	fw, err := flate.NewWriter(nil, flate.BestSpeed)
+	if err != nil {
+		panic(err) // only an invalid level fails
+	}
+	return fw
+}}
 
 // Flush writes everything sealed so far — defs records for any
 // definitions not yet on disk, plus all completed chunk records sitting
@@ -331,7 +332,8 @@ func (cw *ChunkWriter) Flush() error {
 // and trailer, and flushes the underlying writer.
 func (cw *ChunkWriter) Close() error {
 	for l := range cw.locs {
-		cw.flushLoc(l)
+		cw.writeChunk(l, cw.locs[l].events)
+		cw.locs[l].events = cw.locs[l].events[:0]
 	}
 	cw.flushDefs() // locations or regions with no events still get defined
 
@@ -380,6 +382,11 @@ func (cw *ChunkWriter) Close() error {
 	copy(tail[8:], indexMagic)
 	cw.write(tail[:])
 
+	if cw.fw != nil {
+		flateWriters.Put(cw.fw)
+		cw.fw = nil
+	}
+
 	if cw.err != nil {
 		return cw.err
 	}
@@ -389,8 +396,17 @@ func (cw *ChunkWriter) Close() error {
 // WriteChunked serialises a fully materialized trace in the chunked
 // format — the streaming counterpart of (*Trace).Write.  Region and
 // location indices are preserved, so a round trip through
-// WriteChunked + Read reproduces the trace exactly.
+// WriteChunked + Read reproduces the trace exactly.  It emits the
+// records a NewChunkWriter + Record + Close loop over the trace would —
+// every location's full chunks in location order, then every partial
+// tail chunk in location order — so the bytes are the same, but it
+// encodes straight from each location's Events slice.
 func WriteChunked(w io.Writer, t *Trace) error {
+	return writeChunked(w, t, DefaultChunkEvents)
+}
+
+// writeChunked is WriteChunked with n events per full chunk.
+func writeChunked(w io.Writer, t *Trace, n int) error {
 	cw := NewChunkWriter(w, t.Clock)
 	for _, r := range t.Regions {
 		cw.Region(r.Name, r.Role)
@@ -399,9 +415,13 @@ func WriteChunked(w io.Writer, t *Trace) error {
 		cw.AddLocation(l.Rank, l.Thread)
 	}
 	for li := range t.Locs {
-		for _, e := range t.Locs[li].Events {
-			cw.Record(li, e)
+		for ev := t.Locs[li].Events; len(ev) >= n; ev = ev[n:] {
+			cw.writeChunk(li, ev[:n])
 		}
+	}
+	for li := range t.Locs {
+		ev := t.Locs[li].Events
+		cw.writeChunk(li, ev[len(ev)-len(ev)%n:])
 	}
 	return cw.Close()
 }

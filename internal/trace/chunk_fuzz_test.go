@@ -28,8 +28,21 @@ func FuzzChunkReader(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if tr, err := Read(bytes.NewReader(data)); err == nil && tr == nil {
+		tr, err := Read(bytes.NewReader(data))
+		if err == nil && tr == nil {
 			t.Fatal("Read returned nil trace and nil error")
+		}
+		// ReadBytes only presizes from the index; it must decode exactly
+		// what Read decodes.
+		trb, errb := ReadBytes(data)
+		if (err == nil) != (errb == nil) {
+			t.Fatalf("Read error %v, ReadBytes error %v", err, errb)
+		}
+		if err == nil {
+			var a, b bytes.Buffer
+			if tr.Write(&a) != nil || trb.Write(&b) != nil || !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatal("ReadBytes decoded a different trace than Read")
+			}
 		}
 		cf, err := NewChunkFile(bytes.NewReader(data), int64(len(data)))
 		if err != nil {

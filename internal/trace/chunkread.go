@@ -10,6 +10,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -141,11 +142,9 @@ func (d *chunkDecoder) decode(h chunkHeader, dst []Event) ([]Event, error) {
 	} else if err := d.fr.(flate.Resetter).Reset(&d.src, nil); err != nil {
 		return dst, fmt.Errorf("%w: %v", ErrBadChunk, err)
 	}
-	if cap(d.raw) < h.info.RawLen {
-		d.raw = make([]byte, h.info.RawLen)
-	}
-	d.raw = d.raw[:h.info.RawLen]
-	if _, err := io.ReadFull(d.fr, d.raw); err != nil {
+	raw, err := readGrow(d.fr, d.raw, h.info.RawLen)
+	d.raw = raw
+	if err != nil {
 		return dst, fmt.Errorf("%w: inflating payload: %v", ErrBadChunk, err)
 	}
 	// The payload must be exactly RawLen bytes.
@@ -199,18 +198,45 @@ func (d *chunkDecoder) decode(h chunkHeader, dst []Event) ([]Event, error) {
 	return dst, nil
 }
 
+// readGrow reads exactly n bytes from r into buf's storage.  When buf
+// is too small its capacity grows only as data arrives, so a corrupt
+// length costs at most about twice the bytes r actually holds.
+func readGrow(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if cap(buf) >= n {
+		buf = buf[:n]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	buf = buf[:0]
+	for len(buf) < n {
+		k := min(n-len(buf), max(len(buf), 1<<16))
+		buf = slices.Grow(buf, k)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+k]); err != nil {
+			return buf, err
+		}
+		buf = buf[:len(buf)+k]
+	}
+	return buf, nil
+}
+
+// seqDecoders recycles readChunkedSeq's decoder — flate state and
+// buffers — across reads, the steady state of replaying a cache.
+var seqDecoders = sync.Pool{New: func() any { return new(chunkDecoder) }}
+
 // readChunkedSeq materialises a version-2 (chunked) trace from a
 // sequential reader.  The magic and version have already been consumed.
 // It is strict: any corrupt or truncated record fails the read (use
-// OpenChunkFile for per-chunk recovery).
-func readChunkedSeq(br *bufio.Reader) (*Trace, error) {
+// OpenChunkFile for per-chunk recovery).  hint, if non-nil, gives the
+// initial event capacity of each location by index.
+func readChunkedSeq(br *bufio.Reader, hint []int) (*Trace, error) {
 	p := &posReader{br: br}
 	clock, err := p.str(maxStringLen)
 	if err != nil {
 		return nil, fail("clock name", err)
 	}
 	t := New(clock)
-	var dec chunkDecoder
+	dec := seqDecoders.Get().(*chunkDecoder)
+	defer seqDecoders.Put(dec)
 	chunkOfLoc := make([]int, 0, 16)
 	for {
 		tagOff := p.off
@@ -224,7 +250,13 @@ func readChunkedSeq(br *bufio.Reader) (*Trace, error) {
 		switch tag {
 		case tagDefs:
 			if err := readDefs(p, t.internRegion,
-				func(rank, thread int) { t.AddLocation(rank, thread); chunkOfLoc = append(chunkOfLoc, 0) },
+				func(rank, thread int) {
+					li := t.AddLocation(rank, thread)
+					if li < len(hint) && hint[li] > 0 {
+						t.Locs[li].Events = make([]Event, 0, hint[li])
+					}
+					chunkOfLoc = append(chunkOfLoc, 0)
+				},
 				len(t.Regions), len(t.Locs)); err != nil {
 				return nil, err
 			}
@@ -236,10 +268,6 @@ func readChunkedSeq(br *bufio.Reader) (*Trace, error) {
 			if h.info.Loc >= len(t.Locs) {
 				return nil, fmt.Errorf("trace: chunk references undefined location %d (have %d)", h.info.Loc, len(t.Locs))
 			}
-			if cap(dec.comp) < h.info.CompLen {
-				dec.comp = make([]byte, h.info.CompLen)
-			}
-			dec.comp = dec.comp[:h.info.CompLen]
 			l := &t.Locs[h.info.Loc]
 			mkerr := func(err error) error {
 				return &RecordError{
@@ -248,7 +276,9 @@ func readChunkedSeq(br *bufio.Reader) (*Trace, error) {
 					Chunk: chunkOfLoc[h.info.Loc] + 1, Err: err,
 				}
 			}
-			if err := p.full(dec.comp); err != nil {
+			comp, err := readGrow(p, dec.comp, h.info.CompLen)
+			dec.comp = comp
+			if err != nil {
 				return nil, mkerr(fail("chunk payload", err))
 			}
 			events, err := dec.decode(h, l.Events)
@@ -425,7 +455,12 @@ func NewChunkFile(ra io.ReaderAt, size int64) (*ChunkFile, error) {
 }
 
 func (cf *ChunkFile) section(off int64) *posReader {
-	sr := io.NewSectionReader(cf.ra, off, cf.size-off)
+	return sectionReader(cf.ra, cf.size, off)
+}
+
+// sectionReader reads an image of the given size sequentially from off.
+func sectionReader(ra io.ReaderAt, size, off int64) *posReader {
+	sr := io.NewSectionReader(ra, off, size-off)
 	return &posReader{br: bufio.NewReader(sr), off: off}
 }
 
@@ -455,104 +490,141 @@ func (cf *ChunkFile) readHeader(p *posReader) error {
 
 // loadIndex tries the trailer + index record; it reports success.
 func (cf *ChunkFile) loadIndex() bool {
-	if cf.size < 12 {
-		return false
+	regions, locs, chunks, ok := readIndex(cf.ra, cf.size)
+	if ok {
+		cf.Regions, cf.locs, cf.chunks = regions, locs, chunks
+	}
+	return ok
+}
+
+// readIndex parses the trailer and index record of a chunked image of
+// the given size.  ok is false if either is missing, fails its CRC or
+// declares more entries than its body can hold.
+func readIndex(ra io.ReaderAt, size int64) (regions []RegionDef, locs []LocInfo, chunks []ChunkInfo, ok bool) {
+	if size < 12 {
+		return
 	}
 	var tail [12]byte
-	if _, err := cf.ra.ReadAt(tail[:], cf.size-12); err != nil {
-		return false
+	if _, err := ra.ReadAt(tail[:], size-12); err != nil {
+		return
 	}
 	if string(tail[8:]) != indexMagic {
-		return false
+		return
 	}
 	off := int64(binary.LittleEndian.Uint64(tail[:8]))
-	if off <= 0 || off >= cf.size-12 {
-		return false
+	if off <= 0 || off >= size-12 {
+		return
 	}
-	p := cf.section(off)
+	p := sectionReader(ra, size, off)
 	tag, err := p.ReadByte()
 	if err != nil || tag != tagIndex {
-		return false
+		return
 	}
 	n, err := p.uvarint()
-	if err != nil || n > maxChunkBytes {
-		return false
+	if err != nil || n > maxChunkBytes || n > uint64(size-p.off) {
+		return
 	}
 	body := make([]byte, n)
 	if err := p.full(body); err != nil {
-		return false
+		return
 	}
 	var crcb [4]byte
 	if err := p.full(crcb[:]); err != nil {
-		return false
+		return
 	}
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crcb[:]) {
-		return false
+		return
 	}
 
+	// Each entry takes at least one byte per field, which bounds every
+	// count by the body length before anything is allocated from it.
 	bp := &posReader{br: bufio.NewReader(bytes.NewReader(body))}
 	nr, err := bp.uvarint()
-	if err != nil || nr > maxRegions {
-		return false
+	if err != nil || nr > maxRegions || nr > n/2 {
+		return
 	}
-	regions := make([]RegionDef, 0, nr)
+	regions = make([]RegionDef, 0, nr)
 	for i := uint64(0); i < nr; i++ {
 		name, err := bp.str(maxStringLen)
 		if err != nil {
-			return false
+			return
 		}
 		role, err := bp.ReadByte()
 		if err != nil {
-			return false
+			return
 		}
 		regions = append(regions, RegionDef{Name: name, Role: Role(role)})
 	}
 	nl, err := bp.uvarint()
-	if err != nil || nl > maxLocations {
-		return false
+	if err != nil || nl > maxLocations || nl > n/3 {
+		return
 	}
-	locs := make([]LocInfo, 0, nl)
+	locs = make([]LocInfo, 0, nl)
 	for i := uint64(0); i < nl; i++ {
 		rank, err := bp.uvarint()
 		if err != nil {
-			return false
+			return
 		}
 		thread, err := bp.uvarint()
 		if err != nil {
-			return false
+			return
 		}
 		total, err := bp.uvarint()
 		if err != nil {
-			return false
+			return
 		}
 		locs = append(locs, LocInfo{Rank: int(rank), Thread: int(thread), Events: int(total)})
 	}
 	nc, err := bp.uvarint()
-	if err != nil || nc > uint64(cf.size) {
-		return false
+	if err != nil || nc > n/7 {
+		return
 	}
-	chunks := make([]ChunkInfo, 0, nc)
+	chunks = make([]ChunkInfo, 0, nc)
 	for i := uint64(0); i < nc; i++ {
 		var v [7]uint64
 		for j := range v {
 			x, err := bp.uvarint()
 			if err != nil {
-				return false
+				return
 			}
 			v[j] = x
 		}
-		if v[0] >= uint64(cf.size) || v[1] >= nl || v[5] > maxChunkBytes || v[6] > maxChunkBytes {
-			return false
+		if v[0] >= uint64(size) || v[1] >= nl || v[5] > maxChunkBytes || v[6] > maxChunkBytes {
+			return
 		}
 		chunks = append(chunks, ChunkInfo{
 			Offset: int64(v[0]), Loc: int(v[1]), Events: int(v[2]),
 			FirstTime: v[3], LastTime: v[4], RawLen: int(v[5]), CompLen: int(v[6]),
 		})
 	}
-	cf.Regions = regions
-	cf.locs = locs
-	cf.chunks = chunks
-	return true
+	return regions, locs, chunks, true
+}
+
+// maxPresizeEventsPerByte caps the events an index may presize per byte
+// of the image.  The densest traces the simulator writes (logical-clock
+// LULESH) hold under one event per byte, so real images are never
+// capped, while a lying index cannot allocate more than 512 bytes of
+// events per image byte.
+const maxPresizeEventsPerByte = 16
+
+// presizeHint returns the per-location event totals of a chunked
+// image's index, for sizing the decode, or nil if the image has no
+// valid index or the index claims more events than the cap allows.
+func presizeHint(b []byte) []int {
+	_, locs, _, ok := readIndex(bytes.NewReader(b), int64(len(b)))
+	if !ok {
+		return nil
+	}
+	budget := uint64(len(b)) * maxPresizeEventsPerByte
+	hint := make([]int, len(locs))
+	for i, l := range locs {
+		if uint64(l.Events) > budget {
+			return nil
+		}
+		budget -= uint64(l.Events)
+		hint[i] = l.Events
+	}
+	return hint
 }
 
 // scan rebuilds definitions and the chunk list by walking the records

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -213,6 +214,22 @@ func ReadFile(path string) (*Trace, error) {
 // an event stream are additionally wrapped in a *RecordError carrying
 // the location's rank/thread and the event index.
 func Read(r io.Reader) (*Trace, error) {
+	return read(r, nil)
+}
+
+// ReadBytes is Read over an in-memory trace image.  For a chunked
+// trace it first consults the trailing index (CRC-checked) to size each
+// location's event slice up front, then runs Read's strict sequential
+// decode, which stays authoritative: every chunk CRC and every count is
+// still checked, and an index that disagrees with the records only
+// costs a reallocation.
+func ReadBytes(b []byte) (*Trace, error) {
+	return read(bytes.NewReader(b), presizeHint(b))
+}
+
+// read is Read with optional per-location event capacities for a
+// chunked trace (see presizeHint).
+func read(r io.Reader, hint []int) (*Trace, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, 4)
 	if _, err := io.ReadFull(br, head); err != nil {
@@ -254,7 +271,7 @@ func Read(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	if ver == chunkFormatVersion {
-		return readChunkedSeq(br)
+		return readChunkedSeq(br, hint)
 	}
 	if ver != formatVersion {
 		return nil, fmt.Errorf("trace: unsupported version %d (this reader handles versions %d-%d)",
@@ -293,6 +310,7 @@ func Read(r io.Reader) (*Trace, error) {
 	if nloc > maxLocations {
 		return nil, fmt.Errorf("trace: implausible location count %d", nloc)
 	}
+	presizeLeft := uint64(1 << 16)
 	for i := uint64(0); i < nloc; i++ {
 		section := fmt.Sprintf("location %d/%d header", i+1, nloc)
 		rank, err := getU(section)
@@ -308,12 +326,11 @@ func Read(r io.Reader) (*Trace, error) {
 			return nil, err
 		}
 		li := t.AddLocation(int(rank), int(thread))
-		// Grow-as-you-go above a modest floor: the event count in a
-		// corrupt header must not size the allocation.
-		capHint := nev
-		if capHint > 1<<16 {
-			capHint = 1 << 16
-		}
+		// Grow-as-you-go above a modest floor shared by all locations:
+		// the event counts in corrupt headers must not size the
+		// allocation.
+		capHint := min(nev, presizeLeft)
+		presizeLeft -= capHint
 		t.Locs[li].Events = make([]Event, 0, capHint)
 		prev := uint64(0)
 		for j := uint64(0); j < nev; j++ {
