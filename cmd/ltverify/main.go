@@ -249,11 +249,22 @@ func groupShare(st *experiment.Study, mode core.Mode, metric string, frags ...st
 	if p == nil {
 		return 0
 	}
+	return fragmentShare(p.PathPercents(metric), frags...)
+}
+
+// fragmentShare sums the percentages of the paths containing any
+// fragment, in sorted path order so the sum is the same on every run.
+func fragmentShare(pcts map[string]float64, frags ...string) float64 {
+	paths := make([]string, 0, len(pcts))
+	for path := range pcts {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
 	var v float64
-	for path, pct := range p.PathPercents(metric) {
+	for _, path := range paths {
 		for _, f := range frags {
 			if strings.Contains(path, f) {
-				v += pct
+				v += pcts[path]
 				break
 			}
 		}

@@ -75,7 +75,10 @@ func TestStreamedReplayAllocBudget(t *testing.T) {
 		t.Errorf("ranged replay bytes/op %.0f not 5x below materialized %.0f",
 			mr.BytesPerOp, mm.BytesPerOp)
 	}
-	if mr.AllocsPerOp*5 > mm.AllocsPerOp {
+	// The ranged replay allocates little beyond pooled decode state,
+	// which the race runtime's sync.Pool drops at random: under -race
+	// this count measures the detector, so only this ratio is fenced.
+	if !raceDetectorEnabled && mr.AllocsPerOp*5 > mm.AllocsPerOp {
 		t.Errorf("ranged replay allocs/op %.0f not 5x below materialized %.0f",
 			mr.AllocsPerOp, mm.AllocsPerOp)
 	}

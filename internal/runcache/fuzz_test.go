@@ -65,8 +65,9 @@ func entryAllocCap(n int) uint64 { return 32<<20 + 2048*uint64(n) }
 // FuzzDecodeEntry holds the cache's read contract: any image decodes to
 // a valid entry or fails (a miss) — never a panic, never an allocation
 // beyond entryAllocCap — and one that decodes re-encodes to itself.
-// The committed corpus adds truncations, flipped profile bytes and a
-// trace index claiming more events than the entry holds.
+// The committed corpus adds truncations, flipped profile bytes, a trace
+// index claiming more events than the entry holds and a trace chunk
+// header claiming 64M events.
 func FuzzDecodeEntry(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encoded(f, fuzzEntry()))

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -32,17 +34,21 @@ func FuzzChunkReader(f *testing.F) {
 		if err == nil && tr == nil {
 			t.Fatal("Read returned nil trace and nil error")
 		}
-		// ReadBytes only presizes from the index; it must decode exactly
-		// what Read decodes.
-		trb, errb := ReadBytes(data)
-		if (err == nil) != (errb == nil) {
-			t.Fatalf("Read error %v, ReadBytes error %v", err, errb)
+		// The chunks decode concurrently; the trace, or the error of the
+		// first failing record, must not depend on the worker count.
+		tr1, err1 := readWithWorkers(data, 1)
+		if (err == nil) != (err1 == nil) || (err != nil && err.Error() != err1.Error()) {
+			t.Fatalf("%d workers: error %v; 1 worker: error %v", runtime.GOMAXPROCS(0), err, err1)
 		}
-		if err == nil {
-			var a, b bytes.Buffer
-			if tr.Write(&a) != nil || trb.Write(&b) != nil || !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Fatal("ReadBytes decoded a different trace than Read")
-			}
+		if err == nil && !reflect.DeepEqual(tr, tr1) {
+			t.Fatal("1 worker decoded a different trace")
+		}
+		trN, errN := readWithWorkers(data, 8)
+		if (err1 == nil) != (errN == nil) || (err1 != nil && err1.Error() != errN.Error()) {
+			t.Fatalf("8 workers: error %v; 1 worker: error %v", errN, err1)
+		}
+		if err1 == nil && !reflect.DeepEqual(tr1, trN) {
+			t.Fatal("8 workers decoded a different trace than 1")
 		}
 		cf, err := NewChunkFile(bytes.NewReader(data), int64(len(data)))
 		if err != nil {

@@ -74,7 +74,7 @@ func equalTraces(t *testing.T, got, want *Trace) {
 
 // chunkedBytes serialises tr in the chunked format with the given chunk
 // size (0 = default).
-func chunkedBytes(t *testing.T, tr *Trace, chunkEvents int) []byte {
+func chunkedBytes(t testing.TB, tr *Trace, chunkEvents int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	cw := NewChunkWriter(&buf, tr.Clock)

@@ -185,17 +185,17 @@ func (e *RecordError) Error() string {
 
 func (e *RecordError) Unwrap() error { return e.Err }
 
-// ReadFile reads a trace from a file.  It is Read plus provenance:
-// any *RecordError coming out of the decode carries the file path, and
-// other failures are wrapped with it, so multi-file tools (ltlint,
-// ltviz) name the offending file without extra bookkeeping.
+// ReadFile reads a trace from a file.  It is ReadBytes over the file's
+// contents plus provenance: any *RecordError coming out of the decode
+// carries the file path, and other failures are wrapped with it, so
+// multi-file tools (ltlint, ltviz) name the offending file without
+// extra bookkeeping.
 func ReadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	t, err := Read(f)
+	t, err := ReadBytes(b)
 	if err != nil {
 		var re *RecordError
 		if errors.As(err, &re) {
@@ -207,37 +207,50 @@ func ReadFile(path string) (*Trace, error) {
 	return t, nil
 }
 
-// Read deserialises a trace written by Write.  It fails with a precise
-// diagnostic — bad magic, unsupported version, implausible count, or an
-// ErrTruncated-wrapped error naming the section where the stream ended —
-// and never panics or over-allocates on corrupt input.  Failures inside
-// an event stream are additionally wrapped in a *RecordError carrying
-// the location's rank/thread and the event index.
+// Read deserialises a trace written by Write or WriteChunked.  It fails
+// with a precise diagnostic — bad magic, unsupported version,
+// implausible count, or an ErrTruncated-wrapped error naming the
+// section where the stream ended — and never panics or over-allocates
+// on corrupt input.  Failures inside an event stream are additionally
+// wrapped in a *RecordError carrying the location's rank/thread and the
+// event index.  Read consumes r to its end and decodes the image with
+// ReadBytes; bytes after the trace are ignored.
 func Read(r io.Reader) (*Trace, error) {
-	return read(r, nil)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: reading image: %w", err)
+	}
+	return ReadBytes(b)
 }
 
-// ReadBytes is Read over an in-memory trace image.  For a chunked
-// trace it first consults the trailing index (CRC-checked) to size each
-// location's event slice up front, then runs Read's strict sequential
-// decode, which stays authoritative: every chunk CRC and every count is
-// still checked, and an index that disagrees with the records only
-// costs a reallocation.
+// ReadBytes is Read over an in-memory trace image.  A chunked image's
+// chunks are decoded concurrently (see readChunked).
 func ReadBytes(b []byte) (*Trace, error) {
-	return read(bytes.NewReader(b), presizeHint(b))
-}
-
-// read is Read with optional per-location event capacities for a
-// chunked trace (see presizeHint).
-func read(r io.Reader, hint []int) (*Trace, error) {
-	br := bufio.NewReader(r)
+	p := &posReader{br: bytes.NewReader(b)}
 	head := make([]byte, 4)
-	if _, err := io.ReadFull(br, head); err != nil {
+	if err := p.full(head); err != nil {
 		return nil, fail("magic", err)
 	}
 	if string(head) != magic {
 		return nil, fmt.Errorf("trace: bad magic %q (not an LTRC trace)", head)
 	}
+	ver, err := p.uvarint()
+	if err != nil {
+		return nil, fail("version", err)
+	}
+	if ver == chunkFormatVersion {
+		return readChunked(b, p)
+	}
+	if ver != formatVersion {
+		return nil, fmt.Errorf("trace: unsupported version %d (this reader handles versions %d-%d)",
+			ver, formatVersion, chunkFormatVersion)
+	}
+	return readV1(p.br)
+}
+
+// readV1 decodes the body of a monolithic version-1 image after its
+// version field.
+func readV1(br byteReader) (*Trace, error) {
 	getU := func(section string) (uint64, error) {
 		v, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -265,17 +278,6 @@ func read(r io.Reader, hint []int) (*Trace, error) {
 			return "", fail(section, err)
 		}
 		return string(b), nil
-	}
-	ver, err := getU("version")
-	if err != nil {
-		return nil, err
-	}
-	if ver == chunkFormatVersion {
-		return readChunkedSeq(br, hint)
-	}
-	if ver != formatVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d (this reader handles versions %d-%d)",
-			ver, formatVersion, chunkFormatVersion)
 	}
 	clock, err := getS("clock name")
 	if err != nil {

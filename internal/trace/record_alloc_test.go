@@ -1,6 +1,9 @@
 package trace
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // TestRecordSteadyStateAllocFree gates the measurement system's per-event
 // hot path: once a location's stream has reached capacity, Record must
@@ -32,5 +35,14 @@ func TestRecordGrowthFloor(t *testing.T) {
 	tr.Record(l, Event{})
 	if c := cap(tr.Locs[l].Events); c < 256 {
 		t.Fatalf("first Record grew capacity to %d, want at least 256", c)
+	}
+}
+
+// TestEventSize pins the in-memory event at 32 bytes: every materialized
+// trace, recorder chunk and decode buffer is sized in events, so a field
+// order that reintroduces padding costs a quarter more memory everywhere.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 32 {
+		t.Fatalf("unsafe.Sizeof(Event{}) = %d, want 32", n)
 	}
 }

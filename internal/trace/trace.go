@@ -106,12 +106,14 @@ func (k EvKind) String() string {
 
 // Event is one trace record.  Time is in clock ticks of the trace's clock;
 // Region is valid for Enter/Exit; A, B, C are kind-specific (see EvKind).
+// The fields are ordered widest first so an event packs into 32 bytes
+// (TestEventSize); leading with the one-byte Kind would pad it to 40.
 type Event struct {
-	Kind   EvKind
 	Time   uint64
+	C      int64
 	Region RegionID
 	A, B   int32
-	C      int64
+	Kind   EvKind
 }
 
 // LocTrace is the event stream of one location.
